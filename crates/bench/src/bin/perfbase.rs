@@ -1,7 +1,7 @@
 //! `perfbase` — machine-readable performance baseline for the event engine.
 //!
 //! Runs three workloads on both schedulers (binary heap and hierarchical
-//! timing wheel) and writes `BENCH_engine.json`:
+//! timing wheel) and writes a `BENCH_engine.json`-schema report:
 //!
 //! * `dense-timer` — 30k live timers in steady state, each pop
 //!   rescheduling a short delta ahead (the RTO/CC-timer population shape).
@@ -21,13 +21,14 @@
 //! companion to the events/sec gate. Usage:
 //!
 //! ```text
-//! perfbase [--out PATH] [--seed N] [--check BASELINE]
+//! perfbase --out PATH [--seed N] [--check BASELINE]
 //! ```
 //!
-//! `--check BASELINE` compares the fresh measurements against a committed
-//! `BENCH_engine.json` and exits nonzero when any workload×scheduler cell
-//! regresses by more than 10% in events/sec (the CI perf gate). In check
-//! mode no report is written unless `--out` is also given.
+//! `--out` is required, so a bare run cannot overwrite the committed
+//! `BENCH_engine.json` by accident. `--check BASELINE` compares the fresh
+//! measurements against a committed `BENCH_engine.json` and exits nonzero
+//! when any workload×scheduler cell regresses by more than 10% in
+//! events/sec (the CI perf gate).
 
 use std::time::Instant;
 
@@ -200,10 +201,11 @@ fn check_against_baseline(
     regressions
 }
 
+const USAGE: &str = "usage: perfbase --out PATH [--seed N] [--check BASELINE]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_path = "BENCH_engine.json".to_string();
-    let mut out_given = false;
+    let mut out_path: Option<String> = None;
     let mut check_path: Option<String> = None;
     let mut seed = bench::DEFAULT_SEED;
     let mut i = 0;
@@ -211,11 +213,10 @@ fn main() {
         match args[i].as_str() {
             "--out" => {
                 i += 1;
-                out_given = true;
-                out_path = args.get(i).cloned().unwrap_or_else(|| {
+                out_path = Some(args.get(i).cloned().unwrap_or_else(|| {
                     eprintln!("perfbase: --out needs a path");
                     std::process::exit(2);
-                });
+                }));
             }
             "--check" => {
                 i += 1;
@@ -233,12 +234,19 @@ fn main() {
             }
             other => {
                 eprintln!("perfbase: unknown argument {other}");
-                eprintln!("usage: perfbase [--out PATH] [--seed N] [--check BASELINE]");
+                eprintln!("{USAGE}");
                 std::process::exit(2);
             }
         }
         i += 1;
     }
+    let Some(out_path) = out_path else {
+        eprintln!(
+            "perfbase: --out PATH is required (the report is never written to a default path)"
+        );
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    };
 
     // Load the baseline before the (slow) measurement loop so a bad
     // path or malformed file fails immediately.
@@ -319,21 +327,19 @@ fn main() {
         None => 0,
     };
 
-    if check_path.is_none() || out_given {
-        let report = obj([
-            ("schema", Value::from("BENCH_engine/v1")),
-            ("seed", Value::from(seed)),
-            ("trace_instrumented", Value::from(simtrace::ENABLED)),
-            ("alloc_instrumented", Value::from(alloc_stats::ENABLED)),
-            ("dense_live_timers", Value::from(u64::from(DENSE_LIVE))),
-            ("workloads", Value::Arr(entries)),
-        ]);
-        std::fs::write(&out_path, format!("{}\n", report.pretty())).unwrap_or_else(|e| {
-            eprintln!("perfbase: cannot write {out_path}: {e}");
-            std::process::exit(1);
-        });
-        println!("wrote {out_path}");
-    }
+    let report = obj([
+        ("schema", Value::from("BENCH_engine/v1")),
+        ("seed", Value::from(seed)),
+        ("trace_instrumented", Value::from(simtrace::ENABLED)),
+        ("alloc_instrumented", Value::from(alloc_stats::ENABLED)),
+        ("dense_live_timers", Value::from(u64::from(DENSE_LIVE))),
+        ("workloads", Value::Arr(entries)),
+    ]);
+    std::fs::write(&out_path, format!("{}\n", report.pretty())).unwrap_or_else(|e| {
+        eprintln!("perfbase: cannot write {out_path}: {e}");
+        std::process::exit(1);
+    });
+    println!("wrote {out_path}");
     if regressions > 0 {
         eprintln!(
             "perfbase: {regressions} cell(s) regressed more than {:.0}% vs baseline",

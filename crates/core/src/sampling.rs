@@ -162,13 +162,13 @@ mod tests {
     fn prop_boundary_count_is_floor_div() {
         let mut rng = DetRng::new(0x5f);
         for _ in 0..256 {
-            let n = rng.below(10_000) as u32;
-            let s = 1 + rng.below(99) as u32;
+            let n = u32::try_from(rng.below(10_000)).expect("draw below 10_000");
+            let s = 1 + u32::try_from(rng.below(99)).expect("draw below 99");
             let mut sf = SamplingFrequency::new(SfConfig {
                 acks_per_decrease: s,
             });
-            let fires = (0..n).filter(|_| sf.on_ack()).count() as u32;
-            assert_eq!(fires, n / s, "n={n} s={s}");
+            let fires = (0..n).filter(|_| sf.on_ack()).count();
+            assert_eq!(fires, (n / s) as usize, "n={n} s={s}");
         }
     }
 }

@@ -125,6 +125,10 @@ impl DetRng {
 
     /// Uniform integer in `[0, bound)`. Panics if `bound == 0`.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Lemire's method: the low 64 bits of the 128-bit product are the rejection test"
+    )]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
         // Lemire's multiply-shift method with rejection for exact uniformity.
@@ -136,6 +140,18 @@ impl DetRng {
                 return (m >> 64) as u64;
             }
         }
+    }
+
+    /// Uniform index in `[0, len)`: [`below`](Self::below) for slice
+    /// indexing, drawing exactly what `below(len as u64)` draws. Panics if
+    /// `len == 0`.
+    #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the draw is below `len`, itself a usize"
+    )]
+    pub fn index(&mut self, len: usize) -> usize {
+        self.below(len as u64) as usize
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
@@ -258,7 +274,7 @@ mod tests {
         let mut r = DetRng::new(19);
         let mut counts = [0u32; 8];
         for _ in 0..80_000 {
-            counts[r.below(8) as usize] += 1;
+            counts[r.index(8)] += 1;
         }
         for c in counts {
             assert!((9_000..11_000).contains(&c), "got {c}");

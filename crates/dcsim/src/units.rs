@@ -139,6 +139,11 @@ impl Nanos {
     /// values map to zero, `+inf`/overflow saturates at `u64::MAX`
     /// (Rust's float-to-int `as` semantics, which are platform-independent).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the audited float-to-Nanos helper: saturating `as` is the documented rounding"
+    )]
     pub fn from_ns_f64(ns: f64) -> Nanos {
         debug_assert!(
             ns.is_finite() && ns >= 0.0,
@@ -194,6 +199,11 @@ impl BitRate {
     /// values map to zero, `+inf`/overflow saturates at `u64::MAX`
     /// (Rust's float-to-int `as` semantics, which are platform-independent).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "the audited float-to-BitRate helper: saturating `as` is the documented rounding"
+    )]
     pub fn from_bps_f64(bps: f64) -> Self {
         debug_assert!(
             bps.is_finite() && bps >= 0.0,
@@ -226,6 +236,10 @@ impl BitRate {
     /// physical line: 1000 B at 100 Gbps is exactly 80 ns; 1000 B at 400 Gbps
     /// is exactly 20 ns; 1 B at 3 Gbps rounds 2.67 ns up to 3 ns.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "per-packet path: a delay past u64 ns (584 years) cannot occur at any modeled rate"
+    )]
     pub fn serialization_delay(self, bytes: Bytes) -> Nanos {
         assert!(self.0 > 0, "serialization delay at zero rate is undefined");
         // delay_ns = bytes * 8 * 1e9 / rate_bps, computed in u128 to avoid
@@ -238,6 +252,10 @@ impl BitRate {
 
     /// The number of bytes this rate delivers in `dur` (rounded down).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "rate * dur / 8e9 fits u64 for any duration and rate a run can reach"
+    )]
     pub fn bytes_in(self, dur: Nanos) -> Bytes {
         // simlint: allow(O1) — widened to u128; product of two u64 fits
         let num = (self.0 as u128) * (dur.0 as u128);

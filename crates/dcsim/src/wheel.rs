@@ -227,9 +227,19 @@ impl<E> TimingWheel<E> {
         } else {
             ((63 - delta.leading_zeros()) / BITS) as usize
         };
-        let slot = ((t >> (BITS as u64 * level as u64)) & (SLOTS as u64 - 1)) as usize;
+        let slot = Self::slot_of(t >> (BITS as u64 * level as u64)) as usize;
         self.slots[level * SLOTS + slot].push(e);
         self.occupied[level] |= 1 << slot;
+    }
+
+    /// The slot a level-shifted time falls in: its low `BITS` bits.
+    #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "masked below SLOTS; a checked conversion would add a branch per event"
+    )]
+    fn slot_of(t: u64) -> u32 {
+        (t & (SLOTS as u64 - 1)) as u32
     }
 
     /// Exact earliest level-0 firing time, if any (invariant 1).
@@ -238,7 +248,7 @@ impl<E> TimingWheel<E> {
         if self.occupied[0] == 0 {
             return None;
         }
-        let cur = (self.cursor & (SLOTS as u64 - 1)) as u32;
+        let cur = Self::slot_of(self.cursor);
         let tz = self.occupied[0].rotate_right(cur).trailing_zeros() as u64;
         Some(self.cursor + tz)
     }
@@ -262,7 +272,7 @@ impl<E> TimingWheel<E> {
         }
         let shift = BITS as u64 * level as u64;
         let cur_block = self.cursor >> shift;
-        let cur = (cur_block & (SLOTS as u64 - 1)) as u32;
+        let cur = Self::slot_of(cur_block);
         let rot = occ.rotate_right(cur);
         if rot & 1 != 0 {
             let slot = cur as usize;
@@ -275,7 +285,7 @@ impl<E> TimingWheel<E> {
         }
         let (off, slot) = if rot & !1 != 0 {
             let tz = (rot & !1).trailing_zeros() as u64;
-            (tz, ((cur as u64 + tz) & (SLOTS as u64 - 1)) as usize)
+            (tz, Self::slot_of(cur as u64 + tz) as usize)
         } else {
             (SLOTS as u64, cur as usize)
         };
@@ -318,7 +328,7 @@ impl<E> TimingWheel<E> {
         loop {
             match self.next_advance().expect("pending events exist") {
                 Advance::Commit(t0) => {
-                    let slot = (t0 & (SLOTS as u64 - 1)) as usize;
+                    let slot = Self::slot_of(t0) as usize;
                     self.occupied[0] &= !(1 << slot);
                     std::mem::swap(&mut self.active, &mut self.slots[slot]);
                     // FIFO: dispatch lowest seq first; `pop` takes from the

@@ -262,7 +262,11 @@ impl Scenario for IncastScenario {
         // index is computed over enough trailing samples to cover several
         // packets per flow. The window grows with the incast degree.
         let window_us = (self.incast.senders as f64 * 1.25).max(20.0);
-        // simlint: allow(D4) — dimensionless sample count, not a unit quantity
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "dimensionless, positive sample count, not a unit quantity"
+        )]
         let k = (window_us / self.sample_interval.as_micros_f64()).ceil() as usize;
         let jain_series = jain_over_trailing_window(net.monitor.samples(), k.max(1));
         let mut queue_series = Vec::new();

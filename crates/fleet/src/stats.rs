@@ -93,7 +93,7 @@ pub fn bootstrap_ci(samples: &[f64], p: f64, iters: usize, level: f64, seed: u64
     let mut estimates = Vec::with_capacity(iters);
     for _ in 0..iters {
         for slot in scratch.iter_mut() {
-            *slot = samples[rng.below(n as u64) as usize];
+            *slot = samples[rng.index(n)];
         }
         scratch.sort_by(|a, b| a.partial_cmp(b).expect("slowdown samples are never NaN"));
         estimates.push(percentile_sorted(&scratch, p));

@@ -160,23 +160,26 @@ impl NetBuilder {
 
     /// Add an end host. Hosts must end up with exactly one link.
     pub fn add_host(&mut self) -> NodeId {
-        self.kinds.push(NodeKind::Host);
-        self.ports.push(Vec::new());
-        NodeId(self.kinds.len() as u32 - 1)
+        self.add_node(NodeKind::Host)
     }
 
     /// Add a switch.
     pub fn add_switch(&mut self) -> NodeId {
-        self.kinds.push(NodeKind::Switch);
+        self.add_node(NodeKind::Switch)
+    }
+
+    fn add_node(&mut self, kind: NodeKind) -> NodeId {
+        let id = NodeId::from_idx(self.kinds.len());
+        self.kinds.push(kind);
         self.ports.push(Vec::new());
-        NodeId(self.kinds.len() as u32 - 1)
+        id
     }
 
     /// Connect two nodes with a symmetric full-duplex link.
     pub fn link(&mut self, a: NodeId, b: NodeId, rate: dcsim::BitRate, prop: Nanos) {
         assert!(a != b, "self-links are not allowed");
-        let pa = PortNo(self.ports[a.idx()].len() as u16);
-        let pb = PortNo(self.ports[b.idx()].len() as u16);
+        let pa = PortNo::from_idx(self.ports[a.idx()].len());
+        let pb = PortNo::from_idx(self.ports[b.idx()].len());
         self.ports[a.idx()].push(Port::new((b, pb), rate, prop));
         self.ports[b.idx()].push(Port::new((a, pa), rate, prop));
     }
@@ -201,7 +204,7 @@ impl NetBuilder {
                         "host {i} must have exactly one link, has {}",
                         self.ports[i].len()
                     );
-                    hosts.push(NodeId(i as u32));
+                    hosts.push(NodeId::from_idx(i));
                 }
                 NodeKind::Switch => {
                     assert!(!self.ports[i].is_empty(), "switch {i} has no links");
@@ -220,7 +223,7 @@ impl NetBuilder {
             .map(|ps| {
                 ps.iter()
                     .enumerate()
-                    .map(|(i, p)| (PortNo(i as u16), p.peer.0))
+                    .map(|(i, p)| (PortNo::from_idx(i), p.peer.0))
                     .collect()
             })
             .collect();
@@ -314,7 +317,7 @@ impl Network {
             NodeKind::Host,
             "flow destination must be a host"
         );
-        let id = FlowId(self.flows.len() as u32);
+        let id = FlowId::from_idx(self.flows.len());
         self.flows.push(Flow::new(id, spec, cc));
         id
     }
@@ -472,7 +475,7 @@ impl Network {
         }
         for (ni, n) in self.nodes.iter().enumerate() {
             for (pi, p) in n.ports.iter().enumerate() {
-                p.publish_metrics(ni as u32, pi as u16, reg);
+                p.publish_metrics(NodeId::from_idx(ni), PortNo::from_idx(pi), reg);
             }
         }
         self.monitor.publish_metrics(reg);
@@ -487,7 +490,7 @@ impl Network {
             .ports
             .iter()
             .position(|p| p.peer.0 == b)
-            .map(|i| (a, PortNo(i as u16)))
+            .map(|i| (a, PortNo::from_idx(i)))
     }
 
     /// The theoretical minimum FCT for a flow on an idle network:
@@ -553,7 +556,11 @@ impl Network {
                     }
                     break;
                 }
-                let sz = (f.remaining()).min(self.cfg.mtu as u64) as u32;
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "bounded by the u32 MTU; a checked conversion would add a branch per packet"
+                )]
+                let sz = f.remaining().min(u64::from(self.cfg.mtu)) as u32;
                 let seq = f.sent;
                 f.sent += sz as u64;
                 f.cc.on_send(now, Bytes(sz as u64));
@@ -870,11 +877,12 @@ impl Network {
             }
         } else {
             let flushed = self.nodes[node.idx()].ports[port.idx()].take_down(now);
-            let n_flushed = flushed.len() as u32;
+            let n_flushed =
+                u32::try_from(flushed.len()).expect("a port queue holds fewer than 2^32 packets");
             for pkt in flushed {
                 self.pool.free(pkt);
             }
-            self.fault_stats.link_down_drops += n_flushed as u64;
+            self.fault_stats.link_down_drops += u64::from(n_flushed);
             if trace {
                 self.tracer.record(
                     now,
@@ -1286,6 +1294,19 @@ mod tests {
     use dcsim::{BitRate, Simulation};
     use faircc::{CcMode, SenderLimits};
 
+    /// Port numbers are u16: the 65,537th link on one switch must fail
+    /// loudly, not come back as `PortNo(0)` and alias the first port.
+    #[test]
+    #[should_panic(expected = "a node holds at most 65,536 ports (PortNo is u16)")]
+    fn the_65537th_port_on_a_switch_panics_instead_of_wrapping() {
+        let mut b = NetBuilder::new();
+        let sw = b.add_switch();
+        for _ in 0..=65_536 {
+            let h = b.add_host();
+            b.link(h, sw, BitRate::from_gbps(100), Nanos::MICRO);
+        }
+    }
+
     #[test]
     fn events_carry_no_heap_payload() {
         // The schedulers shuffle events constantly (heap sift, wheel
@@ -1320,6 +1341,11 @@ mod tests {
         fn on_cnp(&mut self, _: Nanos) {
             self.rate = (self.rate / 2.0).max(1e9);
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "test CC: the rate stays a whole, positive bps value"
+        )]
         fn limits(&self) -> SenderLimits {
             SenderLimits::rate_based(BitRate(self.rate as u64))
         }

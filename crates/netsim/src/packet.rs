@@ -161,6 +161,10 @@ impl PacketPool {
                 PacketHandle { idx, gen: slot.gen }
             }
             None => {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "the slab holds live packets only, far below 2^32; no branch per alloc"
+                )]
                 let idx = self.slots.len() as u32;
                 if self.slots.len() == self.slots.capacity() {
                     // The slab only grows while the live-packet high-water
@@ -175,7 +179,7 @@ impl PacketPool {
                 PacketHandle { idx, gen: 0 }
             }
         };
-        self.live_hwm = self.live_hwm.max(self.live() as usize);
+        self.live_hwm = self.live_hwm.max(self.slots.len() - self.free.len());
         h
     }
 

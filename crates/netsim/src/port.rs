@@ -160,8 +160,8 @@ impl Port {
             "port byte conservation: enqueued != transmitted + dropped + resident"
         );
         dcsim::audit_assert_eq!(
-            self.enq_packets as usize,
-            self.tx_packets as usize + self.dropped_packets as usize + self.queue.len(),
+            self.enq_packets,
+            self.tx_packets + self.dropped_packets + self.queue.len() as u64,
             "port packet conservation: enqueued != transmitted + dropped + resident"
         );
         dcsim::audit_assert!(
@@ -321,6 +321,10 @@ impl Port {
     /// packet even when `bytes * 8e9 / rate` is not a whole nanosecond.
     fn ser_delay(&mut self, bytes: u32) -> Nanos {
         let ps = (bytes as u128) * 8_000_000_000_000u128 / (self.rate.as_u64() as u128);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "one packet's serialization time in ps fits u64; no branch per packet"
+        )]
         let total = (ps as u64).saturating_add(self.residue_ps);
         self.residue_ps = total % 1_000;
         Nanos(total / 1_000)
@@ -378,11 +382,11 @@ impl Port {
     /// Publish this port's cumulative counters into the metrics registry
     /// under `port.<node>.<port>.*` keys. Ports that never saw traffic
     /// stay out of the registry to keep large-topology output small.
-    pub fn publish_metrics(&self, node: u32, port: u16, reg: &mut simtrace::MetricsRegistry) {
+    pub fn publish_metrics(&self, node: NodeId, port: PortNo, reg: &mut simtrace::MetricsRegistry) {
         if self.enq_packets == 0 {
             return;
         }
-        let prefix = format!("port.{node}.{port}");
+        let prefix = format!("port.{}.{}", node.0, port.0);
         reg.counter_set(&format!("{prefix}.tx_bytes"), self.tx_bytes);
         reg.counter_set(&format!("{prefix}.tx_packets"), self.tx_packets);
         reg.counter_set(&format!("{prefix}.enq_bytes"), self.enq_bytes);

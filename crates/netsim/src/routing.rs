@@ -86,6 +86,10 @@ impl RoutingTable {
     /// legitimately partition the fabric (the packet is dropped and
     /// traced instead of panicking).
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "only the hash's low bits pick the ECMP member; no branch per packet"
+    )]
     pub fn try_pick(&self, node: NodeId, dst: NodeId, flow: FlowId) -> Option<PortNo> {
         let c = self.candidates(node, dst);
         if c.is_empty() {
@@ -109,7 +113,7 @@ pub fn filter_adjacency(
         .map(|(u, ports)| {
             ports
                 .iter()
-                .filter(|&&(p, _)| port_up(NodeId(u as u32), p))
+                .filter(|&&(p, _)| port_up(NodeId::from_idx(u), p))
                 .copied()
                 .collect()
         })

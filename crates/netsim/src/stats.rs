@@ -44,8 +44,8 @@ pub fn port_stats(net: &Network, horizon: Nanos) -> Vec<PortStats> {
         for (pi, p) in node.ports.iter().enumerate() {
             let capacity_bits = p.rate.as_f64() * secs;
             out.push(PortStats {
-                node: NodeId(ni as u32),
-                port: PortNo(pi as u16),
+                node: NodeId::from_idx(ni),
+                port: PortNo::from_idx(pi),
                 on_switch: node.kind == NodeKind::Switch,
                 peer: p.peer.0,
                 tx_bytes: p.tx_bytes(),

@@ -460,8 +460,8 @@ mod tests {
             .build(NetConfig::default(), MonitorConfig::default());
         let mut rng = dcsim::DetRng::new(17);
         for trial in 0..500 {
-            let src = hosts[rng.below(hosts.len() as u64) as usize];
-            let dst = hosts[rng.below(hosts.len() as u64) as usize];
+            let src = hosts[rng.index(hosts.len())];
+            let dst = hosts[rng.index(hosts.len())];
             if src == dst {
                 continue;
             }

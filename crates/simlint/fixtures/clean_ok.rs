@@ -1,6 +1,5 @@
-// Fixture: idiomatic sim code — the scanner must stay silent, including on
-// rule-like tokens inside strings and comments (HashMap, Instant::now,
-// thread_rng, .unwrap()).
+// Fixture: idiomatic sim code — the analyzer must stay silent, including on
+// rule-like text inside strings and comments (.expect(""), Nanos(80)).
 use std::collections::BTreeMap;
 
 fn routes() -> BTreeMap<u32, u32> {
@@ -10,13 +9,7 @@ fn routes() -> BTreeMap<u32, u32> {
 }
 
 fn label() -> &'static str {
-    "HashMap Instant::now thread_rng .unwrap() — strings do not trip rules"
-}
-
-fn delay(total_ps: u64) -> u64 {
-    // Integer-only casts carry no float evidence and are fine.
-    let ns = (total_ps / 1_000) as u32;
-    ns as u64
+    ".expect(\"\") Nanos(80) — strings do not trip rules"
 }
 
 fn head(q: &std::collections::VecDeque<u32>) -> u32 {

@@ -1,4 +1,4 @@
-//! Local unit definitions for the v2 fixture set.
+//! Local unit definitions for the fixture set.
 //!
 //! This file is named `units.rs` deliberately: unit-definition files are
 //! exempt from the U rules (they are where raw construction and `.0`

@@ -192,10 +192,13 @@ pub struct FnFacts {
     pub is_test: bool,
     /// Outgoing calls in body order.
     pub calls: Vec<CallRef>,
-    /// `DetRng::new(..)` sites.
-    pub rng_news: Vec<(usize, Span)>,
-    /// `.stream(..)` sites with their argument shape.
-    pub stream_calls: Vec<(StreamArg, usize, Span)>,
+    /// `DetRng::new(..)` sites: line, and whether the site is fault code by
+    /// its own names: a value bound to a fault-named `let`, struct field or
+    /// assignment target (`fault_rng: ..`), or a call naming a fault
+    /// identifier (`DetRng::new(cfg.fault_seed)`).
+    pub rng_news: Vec<(usize, bool)>,
+    /// `.stream(..)` sites: argument shape, line, and the same fault flag.
+    pub stream_calls: Vec<(StreamArg, usize, bool)>,
     /// Hash-container iteration sites.
     pub unstable_iters: Vec<UnstableIter>,
     /// The function sorts or otherwise canonicalizes an ordering

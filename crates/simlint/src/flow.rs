@@ -9,10 +9,11 @@
 //! - **P2** — hash-container iteration whose results feed event scheduling
 //!   or metrics aggregation, found *through call chains*, not only at the
 //!   iteration site.
-//! - **P3** — DetRng stream discipline, generalized from D6's lexical
-//!   check: subsystem context propagates down the call graph, so a helper
-//!   that seeds a private `DetRng::new` three calls below fault code is
-//!   still caught.
+//! - **P3** — DetRng stream discipline: subsystem context propagates down
+//!   the call graph, so a helper that seeds a private `DetRng::new` three
+//!   calls below fault code is still caught. Fault code (a fault-named
+//!   function, file, or `let` binding) never gets the stream-distributor
+//!   exemption.
 //! - **P4** — detected locally in [`crate::sem`] (heap ordering keyed by a
 //!   bare timestamp without a `(time, seq)` tiebreak).
 //! - **P5** — float accumulation whose operand order depends on hash
@@ -77,12 +78,16 @@ fn named_stream_value(name: &str) -> Option<u64> {
         .map(|(v, ..)| *v)
 }
 
-/// The subsystem a function name claims, from its `_`-separated segments.
-fn fn_marker(name: &str) -> Option<u64> {
+/// The fault-injection stream number (`netsim::fault::FAULT_STREAM`).
+pub(crate) const FAULT_STREAM: u64 = 4;
+
+/// The subsystem (stream number) a function or binding name claims, from
+/// its `_`-separated segments.
+pub(crate) fn fn_marker(name: &str) -> Option<u64> {
     for seg in name.split('_') {
         let seg = seg.to_ascii_lowercase();
         let hit = match seg.as_str() {
-            "fault" | "faults" => Some(4),
+            "fault" | "faults" => Some(FAULT_STREAM),
             "ecmp" => Some(1),
             "red" => Some(2),
             "workload" | "arrival" | "arrivals" => Some(0),
@@ -437,19 +442,22 @@ fn check_p3(g: &CallGraph, out: &mut Vec<Finding>) {
         if !sim_nontest(g, i) {
             continue;
         }
-        // Lexically-fault files are D6's jurisdiction; re-flagging every
-        // line there would only duplicate findings.
-        if file_name(&f.path).contains("fault") {
-            continue;
-        }
-        let fctx = ctx.get(&i).map(|(s, _)| *s);
+        // Fault code draws only from FAULT_STREAM, even where it also names
+        // other streams (a distributor, which gets no propagated context).
+        let fault_code =
+            fn_marker(&f.key.name) == Some(FAULT_STREAM) || file_name(&f.path).contains("fault");
+        let fctx = ctx
+            .get(&i)
+            .map(|(s, _)| *s)
+            .or(fault_code.then_some(FAULT_STREAM));
+        let site_ctx = |fault_site: bool| if fault_site { Some(FAULT_STREAM) } else { fctx };
 
-        if let Some(s) = fctx {
-            for (line, _) in &f.rng_news {
+        for &(line, fault_site) in &f.rng_news {
+            if let Some(s) = site_ctx(fault_site) {
                 push(
                     out,
                     &f.path,
-                    *line,
+                    line,
                     Rule::P3,
                     format!(
                         "`{}` is {} subsystem code (chain: {}) but seeds a private \
@@ -464,12 +472,10 @@ fn check_p3(g: &CallGraph, out: &mut Vec<Finding>) {
             }
         }
 
-        for (arg, line, _) in &f.stream_calls {
+        for (arg, line, fault_site) in &f.stream_calls {
+            let fctx = site_ctx(*fault_site);
             match arg {
                 StreamArg::Num(n) => {
-                    if fn_marker(&f.key.name) == Some(4) {
-                        continue; // D6 already polices fault-marked fns
-                    }
                     if let Some(s) = fctx {
                         if *n != s {
                             push(

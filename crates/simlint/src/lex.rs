@@ -1,10 +1,9 @@
-//! Spanned token lexer for the semantic (v2) pass.
+//! Spanned token lexer for the parser.
 //!
-//! Unlike the v1 line-stripper in `lib.rs` — which only needs to blank out
-//! strings and collect comment text — the parser needs a real token stream
-//! with byte spans and line numbers, plus the comments as first-class
-//! records (suppression directives live in them, and the stale-allow fixer
-//! needs their exact spans to delete them).
+//! The parser needs a real token stream with byte spans and line numbers,
+//! plus the comments as first-class records (suppression directives live
+//! in them, and the stale-allow fixer needs their exact spans to delete
+//! them).
 //!
 //! Punctuation is emitted one character at a time with a `joint` flag
 //! (true when the next byte continues a multi-character operator), in the

@@ -2,28 +2,58 @@
 //!
 //! The paper's figures are reproducible only because every run is
 //! bit-deterministic. The golden-fingerprint tests catch a regression *after*
-//! it changed results; this crate prevents the usual sources from entering
-//! the tree at all. It is a hermetic, dependency-free line/token-level
-//! scanner in the spirit of the in-repo `minijson`: a small hand-rolled
-//! lexer strips string literals and comments, then per-line token rules
-//! flag constructs that are forbidden in simulation code.
+//! it changed results; this crate and the clippy lints the workspace denies
+//! keep the usual sources out of the tree in the first place. simlint checks
+//! only what clippy cannot: a hand-rolled, dependency-free
+//! recursive-descent parser ([`parse`]) for the Rust subset the workspace
+//! uses produces per-file ASTs ([`ast`]) plus a workspace symbol table
+//! ([`sym`]: struct fields, enum variants, operator impls, method
+//! signatures, use-paths), and local type inference with unit taint
+//! ([`infer`]) powers the per-file rules ([`sem`]).
+//!
+//! # What clippy enforces instead
+//!
+//! `cargo clippy --workspace --all-targets --all-features -- -D warnings`
+//! runs in CI and in `tests/simlint_clean.rs`. The root `clippy.toml`
+//! (`crates/bench/clippy.toml` for the timing harness) and a
+//! `[lints.clippy]` table in every sim crate's manifest carry the checks
+//! simlint's retired line scanner used to make:
+//!
+//! | retired | clippy lint | scope |
+//! |---------|-------------|-------|
+//! | D1 `HashMap`/`HashSet` | `disallowed_types` | every crate |
+//! | D2 `Instant`/`SystemTime` | `disallowed_types` | every crate; `bench` may use `Instant` |
+//! | D3 `RandomState` | `disallowed_types` | every crate (the workspace has no `rand`) |
+//! | D4 lossy casts | `cast_possible_truncation`, `cast_sign_loss` | sim crates |
+//! | D5 `.unwrap()` | `unwrap_used` | sim crates |
+//! | D6 fault RNG streams | simlint P3 | sim crates |
+//! | E1 wildcard arms | `wildcard_enum_match_arm` | sim crates |
+//! | `thread_local!` (P1) | `disallowed_macros` | every crate |
 //!
 //! # Rules
 //!
 //! | id | forbids | scope |
 //! |----|---------|-------|
-//! | D1 | `HashMap`/`HashSet` with the default `RandomState` hasher | sim crates |
-//! | D2 | wall-clock reads (`Instant`, `SystemTime`) | everywhere but `bench` |
-//! | D3 | ambient randomness (`thread_rng`, `rand::`, `getrandom`, `RandomState`) | everywhere |
-//! | D4 | lossy float→integer casts on time/byte quantities | sim crates, except `units.rs` |
-//! | D5 | `.unwrap()` / `.expect("")` without an invariant message | sim crates |
-//! | D6 | fault-injection randomness outside the dedicated `FAULT_STREAM` | sim crates |
+//! | D5 | `.expect("")` without an invariant message | sim crates |
+//! | U1 | arithmetic mixing `Nanos`/`Bytes`/`BitRate` with raw integers or each other (unless an operator impl exists) | sim crates, except `units.rs`/`time.rs` |
+//! | U2 | `.0` newtype escapes (use `.as_u64()`) | sim crates, except `units.rs`/`time.rs` |
+//! | U3 | raw-literal unit construction (`Nanos(80)`) | sim crates, non-test |
+//! | O1 | unchecked `+`/`*`/`+=` on u64 time/byte quantities | dcsim/netsim hot paths, non-test |
+//! | P1 | mutable statics and interior-mutability cells reachable from engine hot paths | sim crates, non-test |
+//! | P2 | order-unstable iteration feeding event scheduling or metrics | sim crates, non-test |
+//! | P3 | DetRng stream discipline across call chains | sim crates, non-test |
+//! | P4 | event heaps keyed by bare time with no sequence tiebreak | sim crates, non-test |
+//! | P5 | order-sensitive float accumulation | sim crates, non-test |
+//! | A1 | heap allocation reachable from engine hot roots | sim crates, non-test |
+//! | A2 | boxed event payloads that fit inline | sim crates, non-test |
+//! | A3 | collect-then-iterate materialization on hot chains | sim crates, non-test |
+//! | A4 | large structs passed by value across hot call edges | sim crates, non-test |
+//! | S1 | stale `simlint: allow(...)` comments that suppress nothing | everywhere |
 //!
 //! *Sim crates* are `dcsim`, `netsim`, `core` (faircc), `cc-*`, `fairsim`,
-//! and the workspace root's `src/`, `tests/`, and `examples/`. The support
-//! crates (`minijson`, `workloads`, `metrics`, `fluid`, `simlint` itself)
-//! and the timing harness (`bench`, which legitimately reads the wall
-//! clock) get the reduced rule set shown above.
+//! `fleet`, `simtrace`, and the workspace root's `src/`, `tests/`, and
+//! `examples/`. The support crates (`minijson`, `workloads`, `metrics`,
+//! `fluid`, `simlint` itself) and the timing harness (`bench`) get S1 only.
 //!
 //! # Suppression
 //!
@@ -31,38 +61,13 @@
 //! comment-only line directly above:
 //!
 //! ```text
-//! let k = (us / interval).ceil() as usize; // simlint: allow(D4) — bounded count
+//! // simlint: allow(O1) — widened to u128; product of two u64 fits
+//! let num = (self.0 as u128) * (dur.0 as u128);
 //! ```
 //!
-//! Multiple ids separate with commas: `simlint: allow(D1, D5)`.
+//! Multiple ids separate with commas: `simlint: allow(U2, O1)`.
 //!
-//! # Heuristics, stated plainly
-//!
-//! The D-family is a token scanner, not a type checker. D4 in particular
-//! flags a line only when an integer cast (`as u64` and friends)
-//! co-occurs with float evidence on the same line (`f64`/`f32` in any
-//! token, or a `.round()`/`.ceil()`/`.floor()` call). Casts split across
-//! lines can evade it; the runtime `sim-audit` layer is the backstop for
-//! what the scanner cannot see.
-//!
-//! # simlint v2: the semantic pass
-//!
-//! On top of the line scanner sits a symbol-aware pass: a hand-rolled,
-//! dependency-free recursive-descent parser ([`parse`]) for the Rust
-//! subset the workspace uses produces per-file ASTs ([`ast`]) plus a
-//! workspace symbol table ([`sym`]: struct fields, enum variants,
-//! operator impls, method signatures, use-paths). Local type inference
-//! with unit taint ([`infer`]) then powers three rule families
-//! ([`sem`]):
-//!
-//! | id | forbids | scope |
-//! |----|---------|-------|
-//! | U1 | arithmetic mixing `Nanos`/`Bytes`/`BitRate` with raw integers or each other (unless an operator impl exists) | sim crates, except `units.rs`/`time.rs` |
-//! | U2 | `.0` newtype escapes (use `.as_u64()`) | sim crates, except `units.rs`/`time.rs` |
-//! | U3 | raw-literal unit construction (`Nanos(80)`) | sim crates, non-test |
-//! | O1 | unchecked `+`/`*`/`+=` on u64 time/byte quantities | dcsim/netsim hot paths, non-test |
-//! | E1 | unguarded `_` arms in matches over workspace protocol enums | sim crates, non-test |
-//! | S1 | stale `simlint: allow(...)` comments that suppress nothing | everywhere |
+//! # The passes
 //!
 //! Only lexer errors and unbalanced delimiters are fatal (exit code 2);
 //! everything else degrades to opaque AST nodes, and every check fires
@@ -70,8 +75,6 @@
 //! silence rather than noise. Findings with mechanical rewrites carry a
 //! [`Fix`]; [`fix_source_set`]/[`fix_tree`] apply them to a fixpoint so
 //! `--fix` is idempotent. [`emit`] renders JSON and SARIF 2.1.0 for CI.
-//!
-//! # simlint v3/v4: the interprocedural passes
 //!
 //! The semantic walk also records per-function facts ([`callgraph`])
 //! linked into a workspace call graph. Two rule families ride it: the
@@ -112,18 +115,8 @@ use std::path::{Path, PathBuf};
 /// One of the determinism/invariant rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Default-hasher `HashMap`/`HashSet` in sim crates.
-    D1,
-    /// Wall-clock reads outside `bench`.
-    D2,
-    /// Ambient randomness anywhere.
-    D3,
-    /// Lossy float→integer casts on unit quantities outside `units.rs`.
-    D4,
-    /// `.unwrap()` / empty-message `.expect()` in sim crates.
+    /// Empty-message `.expect("")` in sim crates.
     D5,
-    /// Fault-injection randomness not drawn from the dedicated stream.
-    D6,
     /// Arithmetic mixing unit newtypes with raw integers or each other.
     U1,
     /// `.0` escapes of unit newtypes outside the unit-definition files.
@@ -132,8 +125,6 @@ pub enum Rule {
     U3,
     /// Unchecked `+`/`*`/`+=` on u64 quantities in dcsim/netsim.
     O1,
-    /// Wildcard `_` match arms over workspace protocol enums.
-    E1,
     /// Shared mutable state reachable from engine hot paths.
     P1,
     /// Order-unstable iteration feeding event scheduling or metrics.
@@ -158,18 +149,12 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in id order.
-    pub const ALL: [Rule; 21] = [
-        Rule::D1,
-        Rule::D2,
-        Rule::D3,
-        Rule::D4,
+    pub const ALL: [Rule; 15] = [
         Rule::D5,
-        Rule::D6,
         Rule::U1,
         Rule::U2,
         Rule::U3,
         Rule::O1,
-        Rule::E1,
         Rule::P1,
         Rule::P2,
         Rule::P3,
@@ -185,17 +170,11 @@ impl Rule {
     /// The short id used in reports and suppression comments.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::D1 => "D1",
-            Rule::D2 => "D2",
-            Rule::D3 => "D3",
-            Rule::D4 => "D4",
             Rule::D5 => "D5",
-            Rule::D6 => "D6",
             Rule::U1 => "U1",
             Rule::U2 => "U2",
             Rule::U3 => "U3",
             Rule::O1 => "O1",
-            Rule::E1 => "E1",
             Rule::P1 => "P1",
             Rule::P2 => "P2",
             Rule::P3 => "P3",
@@ -209,8 +188,7 @@ impl Rule {
         }
     }
 
-    /// The rule family letter (`'D'`, `'U'`, `'O'`, `'E'`, `'P'`, `'A'`,
-    /// `'S'`).
+    /// The rule family letter (`'D'`, `'U'`, `'O'`, `'P'`, `'A'`, `'S'`).
     pub fn family(self) -> char {
         self.id().chars().next().expect("rule ids are non-empty")
     }
@@ -218,31 +196,9 @@ impl Rule {
     /// One-line description for `--explain` output.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::D1 => {
-                "std HashMap/HashSet iterate in RandomState order; use BTreeMap/BTreeSet \
-                 or an explicitly seeded hasher in sim crates"
-            }
-            Rule::D2 => {
-                "wall-clock reads (Instant/SystemTime) make sim logic time-dependent; \
-                 only the bench crate may time things"
-            }
-            Rule::D3 => {
-                "ambient randomness (thread_rng/rand::/getrandom/RandomState) breaks \
-                 seeded reproducibility; use dcsim::DetRng"
-            }
-            Rule::D4 => {
-                "float→integer casts on time/byte quantities truncate platform-sensitively; \
-                 route them through the allowlisted units.rs helpers"
-            }
             Rule::D5 => {
-                ".unwrap()/.expect(\"\") hides the violated invariant; use a typed error \
-                 or .expect(\"why this cannot fail\")"
-            }
-            Rule::D6 => {
-                "fault-injection code must draw all randomness from the dedicated \
-                 FAULT_STREAM (netsim::fault::FAULT_STREAM); seeding a private DetRng \
-                 or borrowing streams 0-3 couples fault draws to the workload/ECMP/RED \
-                 sequences and breaks the zero-cost-when-off contract"
+                ".expect(\"\") hides the violated invariant; use a typed error or \
+                 .expect(\"why this cannot fail\")"
             }
             Rule::U1 => {
                 "arithmetic mixing Nanos/Bytes/BitRate with raw integers (or with each \
@@ -262,10 +218,6 @@ impl Rule {
                 "unchecked +/*/+= on u64 time/byte quantities in dcsim/netsim hot \
                  paths can overflow silently; use saturating_*/checked_* or a \
                  justified allow"
-            }
-            Rule::E1 => {
-                "a wildcard _ arm over a workspace protocol enum silently swallows \
-                 newly added variants; enumerate the variants explicitly"
             }
             Rule::P1 => {
                 "mutable statics and interior-mutability cells reachable from engine \
@@ -322,47 +274,11 @@ impl Rule {
     /// findings.
     pub fn doc(self) -> &'static str {
         match self {
-            Rule::D1 => {
-                "D1 — default-hasher containers in sim crates.\n\n\
-                 std's HashMap/HashSet seed their hasher from process entropy \
-                 (RandomState), so iteration order differs between runs even with a \
-                 fixed sim seed. Any logic that observes that order is silently \
-                 nondeterministic.\n\n\
-                 Fix: use BTreeMap/BTreeSet, or a HashMap with an explicitly seeded \
-                 hasher if O(log n) is too slow."
-            }
-            Rule::D2 => {
-                "D2 — wall-clock reads outside bench.\n\n\
-                 Instant::now()/SystemTime::now() tie sim behavior to host timing. \
-                 Simulated time must come only from the event clock.\n\n\
-                 Fix: pass the sim clock in; only the bench crate may time things."
-            }
-            Rule::D3 => {
-                "D3 — ambient randomness.\n\n\
-                 thread_rng, rand::random, getrandom and RandomState draw from \
-                 process entropy, breaking seeded reproducibility.\n\n\
-                 Fix: draw from dcsim::DetRng, seeded from the scenario config."
-            }
-            Rule::D4 => {
-                "D4 — lossy float→integer casts on unit quantities.\n\n\
-                 `as u64` on a float-valued time/byte expression truncates, and the \
-                 result can differ across platforms when the float computation does.\n\n\
-                 Fix: route conversions through the audited units.rs helpers, or \
-                 carry a justified allow with a reason."
-            }
             Rule::D5 => {
-                "D5 — unwrap/empty expect in sim crates.\n\n\
-                 .unwrap() hides which invariant was violated when it fires.\n\n\
+                "D5 — empty-message expect in sim crates.\n\n\
+                 .expect(\"\") hides which invariant was violated when it fires. \
+                 (.unwrap() is clippy's unwrap_used, denied in every sim crate.)\n\n\
                  Fix: return a typed error, or .expect(\"why this cannot fail\")."
-            }
-            Rule::D6 => {
-                "D6 — fault randomness off the dedicated stream.\n\n\
-                 Fault injection must draw all randomness from FAULT_STREAM \
-                 (netsim::fault) so that enabling faults does not perturb the \
-                 workload/ECMP/RED draw sequences (the zero-cost-when-off \
-                 contract).\n\n\
-                 Fix: derive the fault RNG via rng.stream(FAULT_STREAM); never seed \
-                 a private DetRng in fault code."
             }
             Rule::U1 => {
                 "U1 — unit-mixing arithmetic.\n\n\
@@ -390,23 +306,18 @@ impl Rule {
                  Fix: saturating_*/checked_*, or an allow naming the bound that \
                  makes overflow impossible."
             }
-            Rule::E1 => {
-                "E1 — wildcard arms over workspace protocol enums.\n\n\
-                 `_` arms compile on, silently mishandling variants added later to \
-                 workspace-owned enums (events, scheduler kinds, CC algorithms).\n\n\
-                 Fix: enumerate the variants; the compiler then flags new ones."
-            }
             Rule::P1 => {
                 "P1 — shared mutable state reachable from engine hot paths.\n\n\
                  The planned parallel engine runs shards on worker threads. A \
-                 `static mut`, a static Cell/RefCell/Mutex/atomic, or thread_local! \
-                 state referenced from the run/step call graph either races or \
+                 `static mut` or a static Cell/RefCell/Mutex/atomic referenced \
+                 from the run/step call graph either races or \
                  (under locks/atomics) makes results depend on thread interleaving \
                  — both break bit-identical replay.\n\n\
                  Findings carry a witness call chain from a hot root (run/step) to \
                  the referencing function.\n\n\
                  Fix: thread the state through &mut self / function parameters so \
-                 each shard owns its copy; merge explicitly at barriers."
+                 each shard owns its copy; merge explicitly at barriers. \
+                 (thread_local! is banned outright by clippy's disallowed_macros.)"
             }
             Rule::P2 => {
                 "P2 — order-unstable iteration feeding scheduling or metrics.\n\n\
@@ -426,10 +337,15 @@ impl Rule {
                  calls) constructing DetRng::new(seed) or calling .stream(n) with \
                  the wrong n couples draw sequences between subsystems, so shards \
                  replay differently when one subsystem's draw count changes.\n\n\
-                 D6 already polices fault code lexically; P3 generalizes the \
-                 discipline to every subsystem, interprocedurally. Functions that \
-                 legitimately distribute streams (naming a *_STREAM constant or \
-                 fanning out two or more streams) are exempt.\n\n\
+                 Functions that legitimately distribute streams (naming two or \
+                 more *_STREAM constants or fanning out two or more streams) are \
+                 exempt, except fault code: a function named for faults, any \
+                 function in a fault-named file, and any value bound to a \
+                 fault-named place (`let fault_rng = ..`, a `fault_rng: ..` \
+                 struct field, `self.fault_rng = ..`) or naming a fault \
+                 identifier (`DetRng::new(cfg.fault_seed)`) must draw from \
+                 FAULT_STREAM alone, so enabling faults never perturbs the \
+                 workload/ECMP/RED draw sequences.\n\n\
                  Fix: accept a DetRng handle from the caller, and name streams via \
                  the dcsim::rng *_STREAM constants instead of raw numbers."
             }
@@ -508,7 +424,8 @@ impl Rule {
             Rule::S1 => {
                 "S1 — stale allows.\n\n\
                  A `simlint: allow(RULE)` comment whose rule no longer fires on \
-                 that line suppresses nothing today and a real finding tomorrow.\n\n\
+                 that line (or that names no rule at all, such as a retired one) \
+                 suppresses nothing today and a real finding tomorrow.\n\n\
                  Fix: delete it; the auto-fix does so mechanically."
             }
         }
@@ -704,11 +621,9 @@ impl Baseline {
 pub enum Scope {
     /// Full rule set: the deterministic simulation stack.
     Sim,
-    /// Support code (minijson, workloads, metrics, fluid, simlint): only the
-    /// workspace-wide rules D2 and D3.
+    /// Support code and the timing harness (minijson, workloads, metrics,
+    /// fluid, simlint, bench): S1 only.
     Support,
-    /// The timing harness: D3 only (it exists to read the wall clock).
-    Bench,
 }
 
 /// Classify a workspace-relative path into a rule scope.
@@ -721,383 +636,23 @@ pub fn scope_of(path: &str) -> Scope {
     if let Some(rest) = norm.split("crates/").nth(1) {
         let krate = rest.split('/').next().unwrap_or("");
         return match krate {
-            "bench" => Scope::Bench,
-            "minijson" | "workloads" | "metrics" | "fluid" | "simlint" => Scope::Support,
+            "bench" | "minijson" | "workloads" | "metrics" | "fluid" | "simlint" => Scope::Support,
             _ => Scope::Sim,
         };
     }
     Scope::Sim
 }
 
-/// A source line after lexing: executable code with string-literal contents
-/// replaced by placeholders, plus the concatenated comment text.
-#[derive(Debug, Default, Clone)]
-struct StrippedLine {
-    code: String,
-    comment: String,
-}
-
-/// Strip comments and string/char literal contents, preserving line
-/// structure. Non-empty string literals become `"s"`, empty ones stay
-/// `""` (so D5 can distinguish `.expect("")` from `.expect("msg")`).
-fn strip_source(src: &str) -> Vec<StrippedLine> {
-    let chars: Vec<char> = src.chars().collect();
-    let mut lines: Vec<StrippedLine> = vec![StrippedLine::default()];
-    let mut i = 0;
-
-    // Push a char to the current line's code, tracking newlines.
-    fn newline(lines: &mut Vec<StrippedLine>) {
-        lines.push(StrippedLine::default());
-    }
-
-    while i < chars.len() {
-        let c = chars[i];
-        let next = chars.get(i + 1).copied();
-
-        if c == '\n' {
-            newline(&mut lines);
-            i += 1;
-            continue;
-        }
-
-        // Comments.
-        if c == '/' && next == Some('/') {
-            let mut j = i + 2;
-            while j < chars.len() && chars[j] != '\n' {
-                j += 1;
-            }
-            let text: String = chars[i..j].iter().collect();
-            let last = lines.len() - 1;
-            lines[last].comment.push_str(&text);
-            i = j;
-            continue;
-        }
-        if c == '/' && next == Some('*') {
-            let mut depth = 1;
-            let mut j = i + 2;
-            let mut seg_start = i;
-            while j < chars.len() && depth > 0 {
-                if chars[j] == '/' && chars.get(j + 1) == Some(&'*') {
-                    depth += 1;
-                    j += 2;
-                } else if chars[j] == '*' && chars.get(j + 1) == Some(&'/') {
-                    depth -= 1;
-                    j += 2;
-                } else if chars[j] == '\n' {
-                    // Attribute the comment text line by line.
-                    let text: String = chars[seg_start..j].iter().collect();
-                    let last = lines.len() - 1;
-                    lines[last].comment.push_str(&text);
-                    newline(&mut lines);
-                    seg_start = j + 1;
-                    j += 1;
-                } else {
-                    j += 1;
-                }
-            }
-            let text: String = chars[seg_start..j.min(chars.len())].iter().collect();
-            let last = lines.len() - 1;
-            lines[last].comment.push_str(&text);
-            i = j;
-            continue;
-        }
-
-        // Raw / byte string literals: r"...", r#"..."#, b"...", br#"..."#.
-        let prev_is_ident = {
-            let last = lines.len() - 1;
-            lines[last]
-                .code
-                .chars()
-                .last()
-                .is_some_and(|p| p.is_alphanumeric() || p == '_')
-        };
-        if (c == 'r' || c == 'b') && !prev_is_ident {
-            let mut j = i + 1;
-            if c == 'b' && chars.get(j) == Some(&'r') {
-                j += 1;
-            }
-            let mut hashes = 0;
-            while chars.get(j) == Some(&'#') {
-                hashes += 1;
-                j += 1;
-            }
-            let is_raw = c == 'r' || (c == 'b' && chars.get(i + 1) == Some(&'r'));
-            if chars.get(j) == Some(&'"') && (is_raw || hashes == 0) {
-                // Scan to the closing quote (+ matching hashes for raw).
-                let body_start = j + 1;
-                let mut k = body_start;
-                loop {
-                    match chars.get(k) {
-                        None => break,
-                        Some('\n') => {
-                            newline(&mut lines);
-                            k += 1;
-                        }
-                        Some('\\') if !is_raw => k += 2,
-                        Some('"') => {
-                            let close = (1..=hashes).all(|h| chars.get(k + h) == Some(&'#'));
-                            if close {
-                                k += 1 + hashes;
-                                break;
-                            }
-                            k += 1;
-                        }
-                        Some(_) => k += 1,
-                    }
-                }
-                let nonempty = k > body_start + 1 + hashes;
-                let last = lines.len() - 1;
-                lines[last]
-                    .code
-                    .push_str(if nonempty { "\"s\"" } else { "\"\"" });
-                i = k;
-                continue;
-            }
-            // Not a literal prefix: plain identifier char.
-            let last = lines.len() - 1;
-            lines[last].code.push(c);
-            i += 1;
-            continue;
-        }
-
-        // Ordinary string literal.
-        if c == '"' {
-            let mut k = i + 1;
-            loop {
-                match chars.get(k) {
-                    None => break,
-                    Some('\\') => k += 2,
-                    Some('\n') => {
-                        newline(&mut lines);
-                        k += 1;
-                    }
-                    Some('"') => {
-                        k += 1;
-                        break;
-                    }
-                    Some(_) => k += 1,
-                }
-            }
-            let nonempty = k > i + 2;
-            let last = lines.len() - 1;
-            lines[last]
-                .code
-                .push_str(if nonempty { "\"s\"" } else { "\"\"" });
-            i = k;
-            continue;
-        }
-
-        // Char literal vs lifetime: 'x' or '\n' is a literal; 'a (no
-        // closing quote right after one char) is a lifetime.
-        if c == '\'' {
-            let is_char = matches!(
-                (chars.get(i + 1), chars.get(i + 2)),
-                (Some('\\'), _) | (Some(_), Some('\''))
-            );
-            if is_char {
-                let mut k = i + 1;
-                if chars.get(k) == Some(&'\\') {
-                    k += 2;
-                    // Skip extended escapes like '\u{1F600}'.
-                    while k < chars.len() && chars[k] != '\'' {
-                        k += 1;
-                    }
-                } else {
-                    k += 1;
-                }
-                if chars.get(k) == Some(&'\'') {
-                    k += 1;
-                }
-                let last = lines.len() - 1;
-                lines[last].code.push_str("' '");
-                i = k;
-                continue;
-            }
-        }
-
-        let last = lines.len() - 1;
-        lines[last].code.push(c);
-        i += 1;
-    }
-    lines
-}
-
-/// Whether `code` contains `word` as a standalone identifier.
-fn has_ident(code: &str, word: &str) -> bool {
-    find_ident(code, word).is_some()
-}
-
-/// Byte offset of the first standalone occurrence of identifier `word`.
-pub(crate) fn find_ident(code: &str, word: &str) -> Option<usize> {
-    let bytes = code.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = code[from..].find(word) {
-        let at = from + pos;
-        let before_ok = at == 0 || {
-            let b = bytes[at - 1];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        let end = at + word.len();
-        let after_ok = end >= bytes.len() || {
-            let b = bytes[end];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        if before_ok && after_ok {
-            return Some(at);
-        }
-        from = at + word.len().max(1);
-    }
-    None
-}
-
-/// Whether `code` calls method `name` (an identifier preceded by `.` and
-/// followed, after whitespace, by `(`).
-fn has_method_call(code: &str, name: &str) -> bool {
-    let mut from = 0;
-    while let Some(at) = find_ident(&code[from..], name).map(|p| p + from) {
-        let before_dot = code[..at].trim_end().ends_with('.');
-        let after = code[at + name.len()..].trim_start();
-        if before_dot && after.starts_with('(') {
-            return true;
-        }
-        from = at + name.len();
-    }
-    false
-}
-
-/// Whether `code` contains `ident ::` (a path rooted at `ident`).
-fn has_path_root(code: &str, ident: &str) -> bool {
-    let mut from = 0;
-    while let Some(at) = find_ident(&code[from..], ident).map(|p| p + from) {
-        let after = code[at + ident.len()..].trim_start();
-        if after.starts_with("::") {
-            return true;
-        }
-        from = at + ident.len();
-    }
-    false
-}
-
-const INT_CAST_TARGETS: [&str; 10] = [
-    "u64", "u32", "u16", "u8", "usize", "i64", "i32", "i16", "i8", "isize",
-];
-
-/// D4 evidence: does the line cast to an integer type with `as`?
-fn has_int_cast(code: &str) -> bool {
-    let mut from = 0;
-    while let Some(at) = find_ident(&code[from..], "as").map(|p| p + from) {
-        let after = code[at + 2..].trim_start();
-        if INT_CAST_TARGETS.iter().any(|t| {
-            after.starts_with(t)
-                && !after[t.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
-        }) {
-            return true;
-        }
-        from = at + 2;
-    }
-    false
-}
-
-/// D4 evidence: does the line plausibly involve floating-point values?
-fn has_float_evidence(code: &str) -> bool {
-    code.contains("f64")
-        || code.contains("f32")
-        || has_method_call(code, "round")
-        || has_method_call(code, "ceil")
-        || has_method_call(code, "floor")
-        || has_float_literal(code)
-}
-
-/// Whether the line contains a float literal (`8.0`, `1_000.5`, `1e9`).
-/// Hex literals and tuple-field access (`self.0`) are excluded.
-fn has_float_literal(code: &str) -> bool {
-    let b = code.as_bytes();
-    let mut i = 0;
-    while i < b.len() {
-        if !b[i].is_ascii_digit() {
-            i += 1;
-            continue;
-        }
-        // A numeric token only counts when it starts one (not `x.0`, `id2`).
-        let prev_ok = i == 0 || {
-            let p = b[i - 1];
-            !(p.is_ascii_alphanumeric() || p == b'_' || p == b'.')
-        };
-        let start = i;
-        let mut j = i;
-        while j < b.len() && (b[j].is_ascii_alphanumeric() || b[j] == b'_' || b[j] == b'.') {
-            j += 1;
-        }
-        let tok = &b[start..j];
-        let hex = tok.len() > 1 && tok[0] == b'0' && (tok[1] == b'x' || tok[1] == b'X');
-        if prev_ok && !hex {
-            for (p, &c) in tok.iter().enumerate() {
-                let next_digit = tok.get(p + 1).is_some_and(|n| n.is_ascii_digit());
-                if c == b'.' && next_digit {
-                    return true; // 8.0 — not 1.max(2)
-                }
-                if (c == b'e' || c == b'E') && p > 0 && tok[p - 1].is_ascii_digit() && next_digit {
-                    return true; // 1e9
-                }
-            }
-        }
-        i = j;
-    }
-    false
-}
-
-/// D6 evidence: does the line reference a fault-injection identifier?
-/// Matched at the identifier level so `Default::default()` (which merely
-/// contains the letters "fault") never counts.
-fn has_fault_ident(code: &str) -> bool {
-    let mut chars = code.char_indices().peekable();
-    while let Some((start, c)) = chars.next() {
-        if !(c.is_alphabetic() || c == '_') {
-            continue;
-        }
-        let mut end = start + c.len_utf8();
-        while let Some(&(j, n)) = chars.peek() {
-            if n.is_alphanumeric() || n == '_' {
-                end = j + n.len_utf8();
-                chars.next();
-            } else {
-                break;
-            }
-        }
-        let ident = code[start..end].to_ascii_lowercase();
-        if ident.contains("fault") && !ident.contains("default") {
-            return true;
-        }
-    }
-    false
-}
-
-/// D6 evidence: a `.stream(<numeric literal>)` call — borrowing a stream
-/// by raw number instead of through the named `FAULT_STREAM` constant.
-fn has_numeric_stream_call(code: &str) -> bool {
-    let mut from = 0;
-    while let Some(at) = code[from..].find(".stream(").map(|p| p + from) {
-        let arg = code[at + ".stream(".len()..].trim_start();
-        if arg.starts_with(|c: char| c.is_ascii_digit()) {
-            return true;
-        }
-        from = at + ".stream(".len();
-    }
-    false
-}
-
-/// Parse `simlint: allow(D1, D4)` style suppressions out of comment text.
-fn parse_suppressions(comment: &str) -> Vec<Rule> {
+/// Parse `simlint: allow(U2, O1)` style suppressions out of comment text.
+/// Ids are kept as written: one that names no rule (a retired rule, say)
+/// suppresses nothing, so S1 reports it as stale.
+fn parse_suppressions(comment: &str) -> Vec<String> {
     let mut out = Vec::new();
     let mut rest = comment;
     while let Some(at) = rest.find("simlint: allow(") {
         let args = &rest[at + "simlint: allow(".len()..];
         if let Some(close) = args.find(')') {
-            for part in args[..close].split(',') {
-                if let Some(r) = Rule::parse(part) {
-                    out.push(r);
-                }
-            }
+            out.extend(args[..close].split(',').map(|id| id.trim().to_string()));
             rest = &args[close..];
         } else {
             break;
@@ -1106,187 +661,27 @@ fn parse_suppressions(comment: &str) -> Vec<Rule> {
     out
 }
 
-/// v1 suppression map from stripped lines: `map[k]` holds the rules
-/// suppressed on 0-based line `k`.
-fn v1_suppression_map(lines: &[StrippedLine]) -> Vec<Vec<Rule>> {
-    let mut suppressed: Vec<Vec<Rule>> = vec![Vec::new(); lines.len() + 1];
-    for (k, line) in lines.iter().enumerate() {
-        let rules = parse_suppressions(&line.comment);
-        if rules.is_empty() {
-            continue;
-        }
-        suppressed[k].extend(rules.iter().copied());
-        if line.code.trim().is_empty() {
-            // Comment-only line: the suppression covers the next line too.
-            suppressed[k + 1].extend(rules.iter().copied());
-        }
+/// Rewrite a comment's `simlint: allow(..)` lists without the ids that
+/// name no rule.
+fn drop_unknown_ids(comment: &str) -> String {
+    let mut out = String::with_capacity(comment.len());
+    let mut rest = comment;
+    while let Some(at) = rest.find("simlint: allow(") {
+        let open = at + "simlint: allow(".len();
+        let Some(close) = rest[open..].find(')') else {
+            break;
+        };
+        let known: Vec<&str> = rest[open..open + close]
+            .split(',')
+            .map(str::trim)
+            .filter(|id| Rule::parse(id).is_some())
+            .collect();
+        out.push_str(&rest[..open]);
+        out.push_str(&known.join(", "));
+        rest = &rest[open + close..];
     }
-    suppressed
-}
-
-/// Scan one file's source text with the v1 line rules and apply its
-/// suppression comments. `display_path` drives both scope classification
-/// and the paths embedded in findings.
-pub fn scan_source(display_path: &str, src: &str) -> Vec<Finding> {
-    let lines = strip_source(src);
-    let suppressed = v1_suppression_map(&lines);
-    v1_scan_lines(display_path, &lines)
-        .into_iter()
-        .filter(|f| {
-            !suppressed
-                .get(f.line - 1)
-                .is_some_and(|sup| sup.contains(&f.rule))
-        })
-        .collect()
-}
-
-/// The v1 per-line token rules, without suppression (the pipeline
-/// applies allows across v1 and v2 findings together).
-fn v1_scan_lines(display_path: &str, lines: &[StrippedLine]) -> Vec<Finding> {
-    let scope = scope_of(display_path);
-    let file_name = Path::new(display_path)
-        .file_name()
-        .map(|f| f.to_string_lossy().into_owned())
-        .unwrap_or_default();
-
-    let mut findings = Vec::new();
-    let mut push = |k: usize, rule: Rule, message: String, _sup: &[Rule]| {
-        findings.push(Finding {
-            path: display_path.to_string(),
-            line: k + 1,
-            col: 1,
-            rule,
-            message,
-            fix: None,
-        });
-    };
-
-    for (k, line) in lines.iter().enumerate() {
-        let code = line.code.as_str();
-        if code.trim().is_empty() {
-            continue;
-        }
-        let sup: &[Rule] = &[];
-
-        // D1: default-hasher hash collections in sim code.
-        if scope == Scope::Sim
-            && (has_ident(code, "HashMap") || has_ident(code, "HashSet"))
-            && !has_ident(code, "with_hasher")
-            && !has_ident(code, "BuildHasher")
-        {
-            push(
-                k,
-                Rule::D1,
-                "HashMap/HashSet with the default RandomState hasher iterates in \
-                 nondeterministic order; use BTreeMap/BTreeSet or a seeded hasher"
-                    .into(),
-                sup,
-            );
-        }
-
-        // D2: wall-clock reads outside bench.
-        if scope != Scope::Bench && (has_ident(code, "Instant") || has_ident(code, "SystemTime")) {
-            push(
-                k,
-                Rule::D2,
-                "wall-clock access (Instant/SystemTime) in simulation code; \
-                 simulated time comes from the engine clock, timing belongs in crates/bench"
-                    .into(),
-                sup,
-            );
-        }
-
-        // D3: ambient randomness anywhere.
-        if has_ident(code, "thread_rng")
-            || has_ident(code, "getrandom")
-            || has_ident(code, "RandomState")
-            || has_path_root(code, "rand")
-        {
-            push(
-                k,
-                Rule::D3,
-                "ambient randomness (thread_rng/rand::/getrandom/RandomState); \
-                 all randomness must flow from a seeded dcsim::DetRng"
-                    .into(),
-                sup,
-            );
-        }
-
-        // D4: lossy float→int casts on unit quantities outside units.rs.
-        if scope == Scope::Sim
-            && file_name != "units.rs"
-            && has_int_cast(code)
-            && has_float_evidence(code)
-        {
-            push(
-                k,
-                Rule::D4,
-                "lossy float→integer cast on a unit quantity; use the allowlisted \
-                 units.rs helpers (BitRate::from_bps_f64 / Nanos::from_ns_f64)"
-                    .into(),
-                sup,
-            );
-        }
-
-        // D6: fault-injection randomness outside the dedicated stream. A
-        // line is in fault context when the file or the line names a
-        // fault identifier; within that context, seeding a private
-        // DetRng or grabbing a stream by raw number (instead of the
-        // named FAULT_STREAM constant) is flagged.
-        if scope == Scope::Sim
-            && (file_name.contains("fault") || has_fault_ident(code))
-            && !code.contains("FAULT_STREAM")
-            && (code.contains("DetRng::new") || has_numeric_stream_call(code))
-        {
-            push(
-                k,
-                Rule::D6,
-                "fault-injection randomness must come from the dedicated stream: \
-                 derive the RNG with .stream(FAULT_STREAM), never DetRng::new or a \
-                 raw stream number (streams 0-3 belong to workload/ECMP/RED/feedback)"
-                    .into(),
-                sup,
-            );
-        }
-
-        // P1 (lexical prong): `thread_local!` state in sim code — the
-        // declaration is a macro invocation the v2 parser skips, so it is
-        // caught here; statics go through the semantic pass.
-        if scope == Scope::Sim && has_ident(code, "thread_local") {
-            push(
-                k,
-                Rule::P1,
-                "thread_local! state gives every engine worker thread its own copy; \
-                 under the parallel engine results then depend on which thread ran \
-                 which shard — thread the state through &mut instead"
-                    .into(),
-                sup,
-            );
-        }
-
-        // D5: undocumented panics in sim code.
-        if scope == Scope::Sim {
-            if has_method_call(code, "unwrap") {
-                push(
-                    k,
-                    Rule::D5,
-                    ".unwrap() hides the invariant it relies on; use a typed error or \
-                     .expect(\"why this cannot fail\")"
-                        .into(),
-                    sup,
-                );
-            }
-            if code.contains(".expect(\"\")") {
-                push(
-                    k,
-                    Rule::D5,
-                    ".expect(\"\") documents nothing; state the invariant in the message".into(),
-                    sup,
-                );
-            }
-        }
-    }
-    findings
+    out.push_str(rest);
+    out
 }
 
 /// Directories never descended into during a tree walk.
@@ -1315,13 +710,13 @@ pub fn collect_rust_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// The result of running the full v1+v2 pipeline over a set of files.
+/// The result of running the full pipeline over a set of files.
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// Post-suppression findings, sorted by (path, line, col, rule).
     pub findings: Vec<Finding>,
-    /// Files the v2 parser could not process (lexer error or unbalanced
-    /// delimiters); v1 rules still ran on these.
+    /// Files the parser could not process (lexer error or unbalanced
+    /// delimiters); no rule ran on these.
     pub parse_failures: Vec<parse::ParseFailure>,
     /// Number of files analyzed.
     pub scanned: usize,
@@ -1331,7 +726,7 @@ pub struct Analysis {
 struct AllowSite {
     line: usize,
     end_line: usize,
-    rules: Vec<Rule>,
+    ids: Vec<String>,
     span: lex::Span,
     comment_only: bool,
     used: bool,
@@ -1353,8 +748,8 @@ fn allows_from_lexed(lexed: &lex::Lexed) -> Vec<AllowSite> {
         if c.doc {
             continue;
         }
-        let rules = parse_suppressions(&c.text);
-        if rules.is_empty() {
+        let ids = parse_suppressions(&c.text);
+        if ids.is_empty() {
             continue;
         }
         let comment_only =
@@ -1362,7 +757,7 @@ fn allows_from_lexed(lexed: &lex::Lexed) -> Vec<AllowSite> {
         out.push(AllowSite {
             line: c.line,
             end_line: c.end_line,
-            rules,
+            ids,
             span: c.span,
             comment_only,
             used: false,
@@ -1387,38 +782,31 @@ fn stale_allow_deletion(src: &str, site: &AllowSite) -> lex::Span {
     lex::Span { lo, hi }
 }
 
-/// Run the full pipeline (v1 line rules, v2 semantic rules, shared
+/// Run the full pipeline (semantic rules, interprocedural rules,
 /// suppression, S1 staleness) over an in-memory set of
 /// `(display_path, source)` files. The workspace symbol table is built
 /// from every file that parses, so cross-file type resolution works.
+/// Files that do not parse are reported in [`Analysis::parse_failures`]
+/// and get no findings: every rule needs the AST.
 pub fn analyze_files(files: &[(String, String)]) -> Analysis {
     let mut parse_failures = Vec::new();
-    let mut parsed: Vec<Option<(ast::File, lex::Lexed)>> = Vec::with_capacity(files.len());
+    let mut parsed = Vec::with_capacity(files.len());
     for (path, src) in files {
         match parse::parse_file(path, src) {
-            Ok(p) => parsed.push(Some(p)),
-            Err(e) => {
-                parse_failures.push(e);
-                parsed.push(None);
-            }
+            Ok((file, lexed)) => parsed.push((path, src, file, lexed)),
+            Err(e) => parse_failures.push(e),
         }
     }
-    let ast_files: Vec<&ast::File> = parsed.iter().flatten().map(|(f, _)| f).collect();
-    let symbols = sym::Symbols::build(ast_files.iter().copied());
+    let symbols = sym::Symbols::build(parsed.iter().map(|(_, _, file, _)| file));
 
-    // Per-file pass: v1 line rules plus v2 semantic rules, collecting the
-    // call-graph facts the interprocedural pass consumes.
-    let mut raws: Vec<Vec<Finding>> = Vec::with_capacity(files.len());
-    let mut facts: Vec<callgraph::FileFacts> = Vec::new();
-    for ((path, src), parsed) in files.iter().zip(&parsed) {
-        let lines = strip_source(src);
-        let mut raw = v1_scan_lines(path, &lines);
-        if let Some((file, _)) = parsed {
-            let (sem_findings, file_facts) = sem::check_file_collect(file, src, &symbols);
-            raw.extend(sem_findings);
-            facts.push(file_facts);
-        }
-        raws.push(raw);
+    // Per-file pass: semantic rules, collecting the call-graph facts the
+    // interprocedural pass consumes.
+    let mut raws: Vec<Vec<Finding>> = Vec::with_capacity(parsed.len());
+    let mut facts: Vec<callgraph::FileFacts> = Vec::with_capacity(parsed.len());
+    for (_, src, file, _) in &parsed {
+        let (sem_findings, file_facts) = sem::check_file_collect(file, src, &symbols);
+        raws.push(sem_findings);
+        facts.push(file_facts);
     }
 
     // Interprocedural pass: workspace call graph + P-family flow rules
@@ -1429,58 +817,72 @@ pub fn analyze_files(files: &[(String, String)]) -> Analysis {
         .into_iter()
         .chain(cost::check(&graph, &symbols))
     {
-        if let Some(i) = files.iter().position(|(p, _)| p == &f.path) {
+        if let Some(i) = parsed.iter().position(|(p, ..)| **p == f.path) {
             raws[i].push(f);
         }
     }
 
     // Suppression + S1 staleness, per file.
     let mut findings = Vec::new();
-    for (((path, src), parsed), mut raw) in files.iter().zip(&parsed).zip(raws) {
-        match parsed {
-            Some((_, lexed)) => {
-                let mut allows = allows_from_lexed(lexed);
-                raw.retain(|f| {
-                    let mut keep = true;
-                    for a in allows.iter_mut() {
-                        if a.covers(f.line) && a.rules.contains(&f.rule) {
-                            a.used = true;
-                            keep = false;
-                        }
-                    }
-                    keep
-                });
-                let index = sem::LineIndex::new(src);
-                for a in allows.iter().filter(|a| !a.used) {
-                    let (line, col) = index.line_col(a.span.lo);
-                    let ids: Vec<&str> = a.rules.iter().map(|r| r.id()).collect();
-                    raw.push(Finding {
-                        path: path.clone(),
-                        line,
-                        col,
-                        rule: Rule::S1,
-                        message: format!(
-                            "stale `simlint: allow({})` — it suppresses nothing on \
-                             this or the next line; delete it",
-                            ids.join(", ")
-                        ),
-                        fix: Some(Fix {
-                            span: stale_allow_deletion(src, a),
-                            replacement: String::new(),
-                        }),
-                    });
+    for ((path, src, _, lexed), mut raw) in parsed.iter().zip(raws) {
+        let mut allows = allows_from_lexed(lexed);
+        raw.retain(|f| {
+            let mut keep = true;
+            for a in allows.iter_mut() {
+                if a.covers(f.line) && a.ids.iter().any(|id| id == f.rule.id()) {
+                    a.used = true;
+                    keep = false;
                 }
             }
-            None => {
-                // Parser could not process the file: fall back to the v1
-                // suppression semantics and skip the S1 staleness check.
-                let suppressed = v1_suppression_map(&strip_source(src));
-                raw.retain(|f| {
-                    !suppressed
-                        .get(f.line - 1)
-                        .is_some_and(|sup| sup.contains(&f.rule))
-                });
-            }
+            keep
+        });
+        let index = sem::LineIndex::new(src);
+        for a in &allows {
+            let (line, col) = index.line_col(a.span.lo);
+            let unknown: Vec<&str> = a
+                .ids
+                .iter()
+                .map(String::as_str)
+                .filter(|id| Rule::parse(id).is_none())
+                .collect();
+            let (message, fix) = if !a.used {
+                (
+                    format!(
+                        "stale `simlint: allow({})` — it suppresses nothing on \
+                         this or the next line; delete it",
+                        a.ids.join(", ")
+                    ),
+                    Fix {
+                        span: stale_allow_deletion(src, a),
+                        replacement: String::new(),
+                    },
+                )
+            } else if !unknown.is_empty() {
+                // The allow is live, but a retired or misspelled id rides
+                // along in its list: drop just that id.
+                (
+                    format!(
+                        "`simlint: allow({})` names {}, which is no simlint rule; \
+                         delete the id",
+                        a.ids.join(", "),
+                        unknown.join(", ")
+                    ),
+                    Fix {
+                        span: a.span,
+                        replacement: drop_unknown_ids(&src[a.span.lo..a.span.hi]),
+                    },
+                )
+            } else {
+                continue;
+            };
+            raw.push(Finding {
+                path: (*path).clone(),
+                line,
+                col,
+                rule: Rule::S1,
+                message,
+                fix: Some(fix),
+            });
         }
         findings.extend(raw);
     }
@@ -1588,163 +990,25 @@ pub fn fix_tree(root: &Path) -> io::Result<FixReport> {
 mod tests {
     use super::*;
 
-    fn rules_in(path: &str, src: &str) -> Vec<Rule> {
-        let mut r: Vec<Rule> = scan_source(path, src).into_iter().map(|f| f.rule).collect();
-        r.sort();
-        r.dedup();
-        r
-    }
-
     #[test]
-    fn strings_and_comments_are_stripped() {
-        let src = "let x = \"HashMap Instant .unwrap()\"; // HashMap in comment\n";
-        assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn raw_strings_are_stripped() {
-        let src = "let x = r#\"thread_rng HashSet\"#;\nlet y = b\"Instant\";\n";
-        assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn multiline_strings_and_block_comments_keep_line_numbers() {
-        let src = "let s = \"line one\nline two\";\n/* block\n comment */\nlet m: HashMap<u32, u32> = HashMap::new();\n";
-        let f = scan_source("crates/netsim/src/a.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::D1);
-        assert_eq!(f[0].line, 5);
-    }
-
-    #[test]
-    fn lifetimes_are_not_char_literals() {
-        // A naive char-literal scanner would swallow from 'a to the next
-        // quote and hide the HashMap behind it.
-        let src = "fn f<'a>(x: &'a u32) {}\nlet m = HashMap::new();\n";
-        let f = scan_source("crates/dcsim/src/a.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].line, 2);
-    }
-
-    #[test]
-    fn d1_seeded_hasher_is_allowed() {
-        let src = "let m: HashMap<u32, u32, S> = HashMap::with_hasher(seeded);\n";
-        assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d1_only_in_sim_scope() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(rules_in("crates/dcsim/src/a.rs", src), vec![Rule::D1]);
-        assert_eq!(rules_in("tests/foo.rs", src), vec![Rule::D1]);
-        assert!(rules_in("crates/minijson/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d2_everywhere_but_bench() {
-        let src = "let t0 = Instant::now();\n";
-        assert_eq!(rules_in("crates/dcsim/src/engine.rs", src), vec![Rule::D2]);
-        assert_eq!(rules_in("crates/workloads/src/lib.rs", src), vec![Rule::D2]);
-        assert!(rules_in("crates/bench/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d3_everywhere_including_bench() {
-        let src = "let r = rand::thread_rng();\n";
-        let got = rules_in("crates/bench/src/lib.rs", src);
-        assert_eq!(got, vec![Rule::D3]);
-    }
-
-    #[test]
-    fn d3_detrng_is_fine() {
-        let src = "let mut rng = DetRng::new(7); let v = rng.below(10);\n";
-        assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
-    }
-
-    #[test]
-    fn d6_flags_private_fault_rngs_and_raw_streams() {
-        // Fault context from the line's identifiers…
-        let src = "let fault_rng = DetRng::new(seed);\n";
-        assert_eq!(
-            rules_in("crates/netsim/src/network.rs", src),
-            vec![Rule::D6]
-        );
-        // …or from the file name, even when the line says nothing faulty.
-        let src = "let rng = DetRng::new(7);\n";
-        assert_eq!(rules_in("crates/netsim/src/fault.rs", src), vec![Rule::D6]);
-        // Borrowing a stream by raw number in fault context.
-        let src = "let fault_rng = root.stream(2);\n";
-        assert_eq!(
-            rules_in("crates/netsim/src/network.rs", src),
-            vec![Rule::D6]
-        );
-        // The named constant is the sanctioned path.
-        let ok = "let fault_rng = root.stream(FAULT_STREAM);\n";
-        assert!(rules_in("crates/netsim/src/network.rs", ok).is_empty());
-        // `Default::default()` is not fault context.
-        let ok = "let cfg = NetConfig::default(); let rng = DetRng::new(1);\n";
-        assert!(rules_in("crates/netsim/src/network.rs", ok).is_empty());
-        // Non-fault code may stream by number (D6 stays out of the way).
-        let ok = "let red_rng = root.stream(2);\n";
-        assert!(rules_in("crates/netsim/src/network.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn d4_flags_float_casts_and_allows_units_rs() {
-        let src = "let r = BitRate((x * 8.0 / secs).round() as u64);\n";
-        assert_eq!(rules_in("crates/core/src/cc.rs", src), vec![Rule::D4]);
-        assert!(rules_in("crates/dcsim/src/units.rs", src).is_empty());
-        // Integer-only casts carry no float evidence.
-        let ok = "let slot = (t >> shift) as usize;\n";
-        assert!(rules_in("crates/dcsim/src/wheel.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn d5_unwrap_flagged_expect_with_message_ok() {
-        assert_eq!(
-            rules_in("crates/netsim/src/port.rs", "let v = x.unwrap();\n"),
-            vec![Rule::D5]
-        );
-        assert_eq!(
-            rules_in("crates/netsim/src/port.rs", "let v = x.expect(\"\");\n"),
-            vec![Rule::D5]
-        );
-        assert!(rules_in(
-            "crates/netsim/src/port.rs",
-            "let v = x.expect(\"backlog checked above\");\n"
-        )
-        .is_empty());
-        // unwrap_or and friends are fine.
-        assert!(rules_in(
-            "crates/netsim/src/port.rs",
-            "let v = x.unwrap_or(0); let w = y.unwrap_or_else(f);\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn suppression_same_line_and_line_above() {
-        let same = "let k = x.ceil() as usize; // simlint: allow(D4) — bounded count\n";
-        assert!(rules_in("crates/fairsim/src/a.rs", same).is_empty());
-        let above = "// simlint: allow(D4) — bounded count\nlet k = x.ceil() as usize;\n";
-        assert!(rules_in("crates/fairsim/src/a.rs", above).is_empty());
-        // The wrong rule id does not suppress.
-        let wrong = "let k = x.ceil() as usize; // simlint: allow(D1)\n";
-        assert_eq!(rules_in("crates/fairsim/src/a.rs", wrong), vec![Rule::D4]);
-        // A suppression only reaches one line down.
-        let far = "// simlint: allow(D4)\n\nlet k = x.ceil() as usize;\n";
-        assert_eq!(rules_in("crates/fairsim/src/a.rs", far), vec![Rule::D4]);
-    }
-
-    #[test]
-    fn suppression_lists_multiple_rules() {
-        let src = "let m = HashMap::new(); let v = m.get(&k).unwrap(); // simlint: allow(D1, D5)\n";
-        assert!(rules_in("crates/dcsim/src/a.rs", src).is_empty());
+    fn scope_classification() {
+        assert_eq!(scope_of("crates/dcsim/src/engine.rs"), Scope::Sim);
+        assert_eq!(scope_of("crates/cc-hpcc/src/lib.rs"), Scope::Sim);
+        assert_eq!(scope_of("crates/fleet/src/pool.rs"), Scope::Sim);
+        assert_eq!(scope_of("crates/bench/src/lib.rs"), Scope::Support);
+        assert_eq!(scope_of("crates/minijson/src/lib.rs"), Scope::Support);
+        assert_eq!(scope_of("crates/simlint/src/lib.rs"), Scope::Support);
+        assert_eq!(scope_of("tests/determinism.rs"), Scope::Sim);
+        assert_eq!(scope_of("examples/quickstart.rs"), Scope::Sim);
     }
 
     #[test]
     fn finding_display_format() {
-        let f = scan_source("crates/dcsim/src/a.rs", "let v = x.unwrap();\n");
+        let files = vec![(
+            "crates/dcsim/src/a.rs".to_string(),
+            "fn f(x: Option<u32>) -> u32 { x.expect(\"\") }\n".to_string(),
+        )];
+        let f = analyze_files(&files).findings;
         let line = format!("{}", f[0]);
         assert!(
             line.starts_with("crates/dcsim/src/a.rs:1: error[D5]:"),
@@ -1753,13 +1017,57 @@ mod tests {
     }
 
     #[test]
-    fn scope_classification() {
-        assert_eq!(scope_of("crates/dcsim/src/engine.rs"), Scope::Sim);
-        assert_eq!(scope_of("crates/cc-hpcc/src/lib.rs"), Scope::Sim);
-        assert_eq!(scope_of("crates/bench/src/lib.rs"), Scope::Bench);
-        assert_eq!(scope_of("crates/minijson/src/lib.rs"), Scope::Support);
-        assert_eq!(scope_of("crates/simlint/src/lib.rs"), Scope::Support);
-        assert_eq!(scope_of("tests/determinism.rs"), Scope::Sim);
-        assert_eq!(scope_of("examples/quickstart.rs"), Scope::Sim);
+    fn suppression_same_line_and_line_above() {
+        let rules_in = |src: &str| -> Vec<Rule> {
+            let files = vec![("crates/fairsim/src/a.rs".to_string(), src.to_string())];
+            analyze_files(&files)
+                .findings
+                .iter()
+                .map(|f| f.rule)
+                .collect()
+        };
+        let same =
+            "fn f(x: Option<u32>) -> u32 {\n    x.expect(\"\") // simlint: allow(D5) — demo\n}\n";
+        assert!(rules_in(same).is_empty());
+        let above = "fn f(x: Option<u32>) -> u32 {\n    // simlint: allow(D5) — demo\n    x.expect(\"\")\n}\n";
+        assert!(rules_in(above).is_empty());
+        // The wrong rule id does not suppress (and is itself stale).
+        let wrong = "fn f(x: Option<u32>) -> u32 {\n    x.expect(\"\") // simlint: allow(U2)\n}\n";
+        assert_eq!(rules_in(wrong), vec![Rule::D5, Rule::S1]);
+        // A suppression only reaches one line down.
+        let far =
+            "fn f(x: Option<u32>) -> u32 {\n    // simlint: allow(D5)\n\n    x.expect(\"\")\n}\n";
+        assert_eq!(rules_in(far), vec![Rule::S1, Rule::D5]);
+        // An id that names no rule (here a retired one) suppresses nothing
+        // and is reported, so retired allows cannot linger.
+        let retired = "fn f(x: u64) -> u64 {\n    x // simlint: allow(D4)\n}\n";
+        assert_eq!(rules_in(retired), vec![Rule::S1]);
+    }
+
+    #[test]
+    fn suppression_lists_multiple_rules() {
+        let analyze = |src: &str| {
+            let files = vec![("crates/fairsim/src/a.rs".to_string(), src.to_string())];
+            analyze_files(&files).findings
+        };
+        // Each listed id suppresses its own rule; the unused U2 rides along
+        // because the allow as a whole is live.
+        let both =
+            "fn f(x: Option<u32>) -> u32 {\n    x.expect(\"\") // simlint: allow(U2, D5)\n}\n";
+        assert!(analyze(both).is_empty());
+        // A retired id inside a live list is still reported, and the fix
+        // drops only that id.
+        let src = "fn f(x: Option<u32>) -> u32 {\n    x.expect(\"\") // simlint: allow(D4, D5) — demo\n}\n";
+        let found = analyze(src);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!((found[0].rule, found[0].line), (Rule::S1, 2));
+        let mut files = vec![("crates/fairsim/src/a.rs".to_string(), src.to_string())];
+        assert_eq!(fix_source_set(&mut files), 1);
+        assert!(
+            files[0].1.contains("// simlint: allow(D5) — demo"),
+            "{}",
+            files[0].1
+        );
+        assert!(analyze(&files[0].1).is_empty());
     }
 }

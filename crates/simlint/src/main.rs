@@ -1,6 +1,6 @@
 //! `cargo run -p simlint [-- <flags>] [ROOT]` — walk a source tree and
-//! report determinism, unit-safety, overflow, and exhaustiveness rule
-//! violations.
+//! report unit-safety, overflow, parallel-readiness, hot-path cost, and
+//! RNG-stream rule violations (the checks clippy cannot make).
 //!
 //! Exit codes:
 //!   0  clean (no findings after suppression/filtering)
@@ -23,7 +23,7 @@ usage: simlint [OPTIONS] [ROOT]
 
 options:
   --rules LIST     comma-separated rule ids or family letters to report
-                   (e.g. `--rules U,O` or `--rules D3,E1`; default: all)
+                   (e.g. `--rules U,O` or `--rules D5,P3`; default: all)
   --emit FORMAT    output format: text (default), json, or sarif
   --fix            apply mechanical fixes in place, then report what remains
   --baseline FILE  ratchet mode: findings listed in FILE are tolerated,

@@ -1,5 +1,5 @@
-//! Semantic rule checkers: the U (unit safety), O (overflow policy) and
-//! E (exhaustiveness) families.
+//! Semantic rule checkers: the U (unit safety) and O (overflow policy)
+//! families, D5 (`.expect("")`), and the local P4 check.
 //!
 //! [`check_file`] walks one parsed file with a scoped type environment
 //! (see [`crate::infer`]) and the workspace symbol table, emitting raw
@@ -10,7 +10,7 @@
 //! the walker cannot prove degrades to `Ty::Unknown`, which no rule
 //! matches, so incomplete inference produces silence, never noise.
 
-use crate::ast::{Arm, BinOp, Block, Expr, ExprKind, File, FnItem, Item, Lit, Pat, Stmt, TypeRef};
+use crate::ast::{BinOp, Block, Expr, ExprKind, File, FnItem, Item, Lit, Pat, Stmt, TypeRef};
 use crate::callgraph::{
     AllocKind, AllocSite, ByvalParam, CallRef, CollectIter, FileFacts, FloatAccum, FnFacts, FnKey,
     StaticItem, StreamArg, UnstableIter,
@@ -18,7 +18,7 @@ use crate::callgraph::{
 use crate::infer::{elem_of, method_ret, named_of, Env, Ty};
 use crate::lex::Span;
 use crate::sym::{Symbols, UnitKind};
-use crate::{find_ident, scope_of, Finding, Fix, Rule, Scope};
+use crate::{scope_of, Finding, Fix, Rule, Scope};
 
 /// Iteration methods whose visit order follows the container's.
 const ITER_METHODS: [&str; 7] = [
@@ -81,7 +81,7 @@ impl LineIndex {
     }
 }
 
-/// Run the U/O/E checkers over one parsed file.
+/// Run the per-file semantic checkers over one parsed file.
 pub fn check_file(file: &File, src: &str, sym: &Symbols) -> Vec<Finding> {
     check_file_collect(file, src, sym).0
 }
@@ -112,6 +112,7 @@ pub fn check_file_collect(file: &File, src: &str, sym: &Symbols) -> (Vec<Finding
         loop_stack: Vec::new(),
         hash_decls: Vec::new(),
         vec_decls: Vec::new(),
+        fault_site: false,
     };
     chk.bind_consts(&file.items);
     chk.walk_items(&file.items, None, false);
@@ -149,6 +150,11 @@ struct Checker<'a> {
     /// Local `let xs = Vec::new()` declarations: `(binding, fn fact
     /// index, alloc-site index)` — the A1 reserve-insertion fix target.
     vec_decls: Vec<(String, usize, usize)>,
+    /// Walking a value bound to a fault-named place: the initializer of a
+    /// `let fault_rng`, a `fault_rng: ..` struct-literal field, or the
+    /// right-hand side of `self.fault_rng = ..`. P3 treats RNG sites there
+    /// as fault code whatever the enclosing function.
+    fault_site: bool,
 }
 
 impl<'a> Checker<'a> {
@@ -173,11 +179,6 @@ impl<'a> Checker<'a> {
     /// (that is where the unit impls themselves live).
     fn o1_all(&self) -> bool {
         self.unit_def_file
-    }
-
-    /// E1 applies in sim code outside tests.
-    fn e1_on(&self) -> bool {
-        self.sim && !self.in_test
     }
 
     /// The local P-rule (P4) applies in sim code outside tests/examples.
@@ -471,6 +472,20 @@ impl<'a> Checker<'a> {
             f.calls.push(call);
         }
 
+        // D5: `.expect("")` panics without naming the violated invariant.
+        // (`.unwrap()` is clippy's `unwrap_used`, denied in sim crates.)
+        if self.sim
+            && name == "expect"
+            && matches!(args, [a] if matches!(a.kind, ExprKind::Lit(Lit::Str(false))))
+        {
+            self.push(
+                Rule::D5,
+                e.span,
+                ".expect(\"\") documents nothing; state the invariant in the message".into(),
+                None,
+            );
+        }
+
         if name == "stream" && args.len() == 1 {
             let arg = match &args[0].kind {
                 ExprKind::Lit(l @ Lit::Int(_)) => l
@@ -484,9 +499,9 @@ impl<'a> Checker<'a> {
                 _ => StreamArg::Other,
             };
             let line = e.line;
-            let span = e.span;
+            let fault = self.fault_site || names_fault(self.src_of(e.span));
             if let Some(f) = self.fact() {
-                f.stream_calls.push((arg, line, span));
+                f.stream_calls.push((arg, line, fault));
             }
         }
 
@@ -699,6 +714,8 @@ impl<'a> Checker<'a> {
             _ => {}
         }
         let is_rng_new = owner.as_deref() == Some("DetRng") && last == "new";
+        // `DetRng::new(cfg.fault_seed)` seeds fault randomness wherever it sits.
+        let fault = is_rng_new && (self.fault_site || names_fault(self.src_of(e.span)));
         let call = CallRef {
             owner,
             name: last.clone(),
@@ -708,7 +725,7 @@ impl<'a> Checker<'a> {
         };
         if let Some(f) = self.fact() {
             if is_rng_new {
-                f.rng_news.push((call.line, call.span));
+                f.rng_news.push((call.line, fault));
             }
             f.calls.push(call);
         }
@@ -867,7 +884,8 @@ impl<'a> Checker<'a> {
             last = Ty::Unknown;
             match stmt {
                 Stmt::Let { pat, ty, init } => {
-                    let ity = init.as_ref().map(|e| self.expr_ty(e));
+                    let fault = pat.as_binding().is_some_and(names_fault);
+                    let ity = init.as_ref().map(|e| self.fault_ty(fault, e));
                     // Track `let xs = Vec::new()` so a later `.push` in a
                     // loop can target this decl with a `with_capacity` fix.
                     if let (Some(init), Some(binding)) = (init.as_ref(), pat.as_binding()) {
@@ -914,6 +932,16 @@ impl<'a> Checker<'a> {
         last
     }
 
+    /// [`Self::expr_ty`] for a value bound to a place; `fault` marks the
+    /// place as fault-named (see `fault_site`).
+    fn fault_ty(&mut self, fault: bool, e: &Expr) -> Ty {
+        let outer = self.fault_site;
+        self.fault_site |= fault;
+        let ty = self.expr_ty(e);
+        self.fault_site = outer;
+        ty
+    }
+
     fn expr_ty(&mut self, e: &Expr) -> Ty {
         match &e.kind {
             ExprKind::Lit(l) => match l {
@@ -954,7 +982,12 @@ impl<'a> Checker<'a> {
             }
             ExprKind::Assign { op, lhs, rhs } => {
                 let lt = self.expr_ty(lhs);
-                let rt = self.expr_ty(rhs);
+                let target = match &lhs.kind {
+                    ExprKind::Field { name, .. } => Some(name.as_str()),
+                    ExprKind::Path(segs) => segs.last().map(String::as_str),
+                    _ => None,
+                };
+                let rt = self.fault_ty(target.is_some_and(names_fault), rhs);
                 if let Some(op) = op {
                     self.arith_check(*op, Some(lhs), lhs, rhs, &lt, &rt, e.span);
                     // `sum += x` on a float inside a loop is a reduction whose
@@ -1039,7 +1072,6 @@ impl<'a> Checker<'a> {
             }
             ExprKind::Match { scrutinee, arms } => {
                 let st = self.expr_ty(scrutinee);
-                self.check_match(&st, arms);
                 for arm in arms {
                     self.env.push();
                     self.bind_pat(&arm.pat, &st);
@@ -1133,9 +1165,9 @@ impl<'a> Checker<'a> {
                 Ty::Unknown
             }
             ExprKind::StructLit { path, fields, rest } => {
-                for (_, v) in fields {
+                for (name, v) in fields {
                     if let Some(v) = v {
-                        self.expr_ty(v);
+                        self.fault_ty(names_fault(name), v);
                     }
                 }
                 if let Some(r) = rest {
@@ -1538,95 +1570,36 @@ impl<'a> Checker<'a> {
             _ => Ty::Unknown,
         }
     }
-
-    /// E1: unguarded `_` arm in a match over a workspace enum.
-    fn check_match(&mut self, st: &Ty, arms: &[Arm]) {
-        if !self.e1_on() {
-            return;
-        }
-        let mut target: Option<String> = None;
-        if let Some(n) = named_of(st) {
-            if self.sym.enums.contains_key(n) {
-                target = Some(n.to_string());
-            }
-        }
-        if target.is_none() {
-            for arm in arms {
-                if let Some(en) = self.variant_enum(&arm.pat) {
-                    target = Some(en);
-                    break;
-                }
-            }
-        }
-        let Some(en) = target else { return };
-        let Some(info) = self.sym.enums.get(&en) else {
-            return;
-        };
-        if info.cfg_test {
-            return;
-        }
-        let variants = info.variants.join(", ");
-        for arm in arms {
-            if matches!(arm.pat, Pat::Wild) && arm.guard.is_none() {
-                // Arms carry only a line; synthesize a span at column 1.
-                let start = self.line_start(arm.line);
-                self.push(
-                    Rule::E1,
-                    Span {
-                        lo: start,
-                        hi: start,
-                    },
-                    format!(
-                        "wildcard `_` arm in a match over workspace enum `{en}` \
-                         silently swallows future variants; enumerate them \
-                         explicitly ({variants})"
-                    ),
-                    None,
-                );
-            }
-        }
-    }
-
-    fn line_start(&self, line: usize) -> usize {
-        self.index
-            .starts
-            .get(line.saturating_sub(1))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// The workspace enum a pattern's variant reference resolves to.
-    fn variant_enum(&self, pat: &Pat) -> Option<String> {
-        let from_path = |segs: &[String]| -> Option<String> {
-            if segs.len() >= 2 {
-                let t = &segs[segs.len() - 2];
-                let last = &segs[segs.len() - 1];
-                if self
-                    .sym
-                    .enums
-                    .get(t)
-                    .is_some_and(|i| i.variants.iter().any(|v| v == last))
-                {
-                    return Some(t.clone());
-                }
-                None
-            } else if segs.len() == 1 && segs[0].chars().next().is_some_and(|c| c.is_uppercase()) {
-                self.sym.enum_of_variant(&segs[0]).map(|s| s.to_string())
-            } else {
-                None
-            }
-        };
-        match pat {
-            Pat::Path(segs) => from_path(segs),
-            Pat::TupleStruct { path, .. } => from_path(path),
-            Pat::Struct { path } => from_path(path),
-            Pat::Or(ps) | Pat::Tuple(ps) => ps.iter().find_map(|p| self.variant_enum(p)),
-            _ => None,
-        }
-    }
 }
 
 // ----- free helpers for fact collection -----------------------------------
+
+/// Byte offset of the first standalone occurrence of identifier `word`.
+fn find_ident(code: &str, word: &str) -> Option<usize> {
+    let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let bytes = code.as_bytes();
+    let mut from = 0;
+    while let Some(pos) = code[from..].find(word) {
+        let at = from + pos;
+        let end = at + word.len();
+        let before_ok = at == 0 || !is_ident(bytes[at - 1]);
+        let after_ok = end >= bytes.len() || !is_ident(bytes[end]);
+        if before_ok && after_ok {
+            return Some(at);
+        }
+        from = at + word.len().max(1);
+    }
+    None
+}
+
+/// Does `code` name a fault-injection identifier (`fault_rng`,
+/// `FaultPlan`, `cfg.fault_seed`)? Matched per identifier, so `default`
+/// never counts.
+fn names_fault(code: &str) -> bool {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .map(str::to_ascii_lowercase)
+        .any(|ident| ident.contains("fault") && !ident.contains("default"))
+}
 
 /// `SCREAMING_SNAKE_CASE` identifier: a likely named constant.
 pub(crate) fn is_screaming_case(s: &str) -> bool {
@@ -1832,33 +1805,6 @@ impl Add for Nanos { fn add(self, rhs: Nanos) -> Nanos { Nanos(self.0 + rhs.0) }
             "fn f(t: Nanos, d: u64) -> u64 { t.as_u64() + d }\n",
         );
         assert!(f.iter().all(|x| x.rule != Rule::O1), "{f:?}");
-    }
-
-    #[test]
-    fn e1_flags_wildcard_over_workspace_enum() {
-        let f = check(
-            "crates/dcsim/src/engine.rs",
-            "pub enum SchedulerKind { Heap, Wheel }\n\
-             fn f(k: SchedulerKind) -> u64 {\n\
-                 match k { SchedulerKind::Heap => 1, _ => 0 }\n\
-             }\n",
-        );
-        let e1: Vec<_> = f.iter().filter(|x| x.rule == Rule::E1).collect();
-        assert_eq!(e1.len(), 1, "{f:?}");
-        assert!(e1[0].message.contains("SchedulerKind"));
-    }
-
-    #[test]
-    fn e1_ignores_option_and_guarded_wildcards() {
-        let f = check(
-            "crates/dcsim/src/engine.rs",
-            "fn f(x: Option<u64>) -> u64 { match x { Some(v) => v, _ => 0 } }\n\
-             pub enum K { A, B }\n\
-             fn g(k: K, c: bool) -> u64 {\n\
-                 match k { K::A => 1, K::B => 2, _ if c => 3 }\n\
-             }\n",
-        );
-        assert!(f.iter().all(|x| x.rule != Rule::E1), "{f:?}");
     }
 
     #[test]

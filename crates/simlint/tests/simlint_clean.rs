@@ -1,11 +1,9 @@
 //! Self-lint: the analyzer's own crate must scan clean under the full
-//! rule set, including the interprocedural P family. The scanner's
-//! pattern strings and the fixture literals embedded in tests must not
-//! self-flag: rule tokens live inside string literals, which the lexer
-//! strips before matching. Paths are re-prefixed with the crate's
-//! workspace location so rule scoping sees the files exactly as the
-//! workspace scan does (the analyzer's own tolerant wildcard matches are
-//! Support-scope, where E1 deliberately does not apply).
+//! rule set, including the interprocedural P family. The fixture
+//! literals embedded in tests must not self-flag: rule tokens inside
+//! string literals are data to the parser, not code. Paths are
+//! re-prefixed with the crate's workspace location so rule scoping sees
+//! the files exactly as the workspace scan does (Support scope: S1 only).
 
 use std::path::Path;
 

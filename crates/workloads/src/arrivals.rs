@@ -60,8 +60,8 @@ pub fn poisson_arrivals(cfg: &ArrivalConfig, dist: &EmpiricalCdf) -> Vec<FlowArr
         if t >= cfg.horizon.as_u64() as f64 {
             break;
         }
-        let src = rng.below(cfg.n_hosts as u64) as usize;
-        let mut dst = rng.below(cfg.n_hosts as u64 - 1) as usize;
+        let src = rng.index(cfg.n_hosts);
+        let mut dst = rng.index(cfg.n_hosts - 1);
         if dst >= src {
             dst += 1;
         }
@@ -107,7 +107,7 @@ pub fn permutation(n_hosts: usize, size: Bytes, start: Nanos, seed: u64) -> Vec<
     // Fisher-Yates, then rotate self-mappings away.
     let mut dst: Vec<usize> = (0..n_hosts).collect();
     for i in (1..n_hosts).rev() {
-        let j = rng.below(i as u64 + 1) as usize;
+        let j = rng.index(i + 1);
         dst.swap(i, j);
     }
     // Fix fixed points by swapping with a neighbour (keeps a derangement).

@@ -291,7 +291,9 @@ fn severed_fabric_stalls_with_offender_list() {
         RunOutcome::Stalled { flows } => {
             assert_eq!(flows.len(), 4, "all four flows are wedged: {flows:?}");
         }
-        other => panic!("expected a stall, got {other}"),
+        other @ (RunOutcome::Completed | RunOutcome::Horizon | RunOutcome::Budget) => {
+            panic!("expected a stall, got {other}")
+        }
     }
     assert!(
         sim.now() < Nanos::from_millis(20),

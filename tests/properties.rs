@@ -28,7 +28,7 @@ impl CongestionControl for FixedRate {
 fn prop_star_flows_complete_and_conserve_bytes() {
     for case in 0..24u64 {
         let mut rng = DetRng::new(0xface_0000 + case);
-        let n_hosts = 3 + rng.below(7) as usize;
+        let n_hosts = 3 + rng.index(7);
         let mut b = NetBuilder::new();
         let hosts: Vec<_> = (0..n_hosts).map(|_| b.add_host()).collect();
         let sw = b.add_switch();
@@ -38,8 +38,8 @@ fn prop_star_flows_complete_and_conserve_bytes() {
         let mut net = b.build(NetConfig::default(), MonitorConfig::default());
         let mut n_flows = 0usize;
         for _ in 0..1 + rng.below(11) {
-            let src = rng.below(n_hosts as u64) as usize;
-            let dst = rng.below(n_hosts as u64) as usize;
+            let src = rng.index(n_hosts);
+            let dst = rng.index(n_hosts);
             if src == dst {
                 continue;
             }

@@ -32,19 +32,19 @@ const VARIANTS: [Variant; 6] = [
 /// degrees, a 1-4 replicate ensemble.
 fn arbitrary_spec(rng: &mut DetRng) -> SweepSpec {
     let mut cc: Vec<CcSpec> = Vec::new();
-    let n_cc = 1 + rng.below(4) as usize;
+    let n_cc = 1 + rng.index(4);
     while cc.len() < n_cc {
-        let kind = KINDS[rng.below(KINDS.len() as u64) as usize];
-        let variant = VARIANTS[rng.below(VARIANTS.len() as u64) as usize];
+        let kind = KINDS[rng.index(KINDS.len())];
+        let variant = VARIANTS[rng.index(VARIANTS.len())];
         let spec = CcSpec::new(kind, variant);
         if !cc.contains(&spec) {
             cc.push(spec);
         }
     }
     let mut degrees: Vec<usize> = Vec::new();
-    let n_deg = 1 + rng.below(4) as usize;
+    let n_deg = 1 + rng.index(4);
     while degrees.len() < n_deg {
-        let d = 2 + rng.below(96) as usize;
+        let d = 2 + rng.index(96);
         if !degrees.contains(&d) {
             degrees.push(d);
         }
@@ -53,7 +53,7 @@ fn arbitrary_spec(rng: &mut DetRng) -> SweepSpec {
         name: "prop".to_string(),
         cc,
         workload: WorkloadAxis::Incast { degrees },
-        ensemble: Ensemble::new(rng.next_u64(), 1 + rng.below(4) as usize),
+        ensemble: Ensemble::new(rng.next_u64(), 1 + rng.index(4)),
     }
 }
 
